@@ -57,7 +57,6 @@ func cliMain(args []string, stdout io.Writer, ready func(*server.Server) <-chan 
 		tracing   = fs.Bool("trace", true, "record per-stage latency histograms (served at /statusz)")
 		slow      = fs.Duration("slow", 0, "log requests slower than this wall-clock duration (0 disables)")
 		flightSz  = fs.Int("flight-size", 0, "per-shard flight-recorder ring size (0 = default 256)")
-		legacy    = fs.Bool("legacy-frames", false, "emulate a protocol version-0 binary (reject traced TCP frames); for backward-compat testing")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -89,7 +88,6 @@ func cliMain(args []string, stdout io.Writer, ready func(*server.Server) <-chan 
 		RequestTimeout:       *timeout,
 		Pprof:                *pprofFlag,
 		SlowRequestThreshold: *slow,
-		DisableTracedFrames:  *legacy,
 	})
 	if err != nil {
 		return err

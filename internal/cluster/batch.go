@@ -110,11 +110,8 @@ func (r *Router) WriteBatchTraced(trace uint64, ops []server.BatchWriteOp, res [
 				continue
 			}
 			err := r.doNodeCtx(st, trace, server.OpWriteBatch, ops[g.idxs[0]].Addr, func(c *server.TCPClient) error {
-				if trace != 0 && r.tracedCap(st) {
-					_, err := c.WriteBatchTraced(trace, subOps, subRes)
-					return err
-				}
-				return c.WriteBatch(subOps, subRes)
+				_, err := c.WriteBatchTraced(trace, subOps, subRes)
+				return err
 			})
 			if err != nil {
 				continue // doNodeCtx already counted the error and marked health
@@ -197,11 +194,8 @@ func (r *Router) ReadBatchTraced(trace uint64, addrs []uint64, res []server.Batc
 				continue
 			}
 			err := r.doNodeCtx(st, trace, server.OpReadBatch, addrs[g.idxs[0]], func(c *server.TCPClient) error {
-				if trace != 0 && r.tracedCap(st) {
-					_, err := c.ReadBatchTraced(trace, subAddrs, subRes)
-					return err
-				}
-				return c.ReadBatch(subAddrs, subRes)
+				_, err := c.ReadBatchTraced(trace, subAddrs, subRes)
+				return err
 			})
 			if err != nil {
 				continue

@@ -46,11 +46,11 @@ func benchCluster(b *testing.B, noTrace bool) *Router {
 }
 
 // BenchmarkRouterTracingOverhead measures a routed write through a real
-// TCP backend with distributed tracing off vs on. The "on" path adds the
-// trace preamble + echo on the wire (16 bytes), two clock reads and ring
-// writes per attempt, and one hello probe amortized over the run; the
-// allocation count must not move (hop recording is alloc-free — enforced
-// by TestHopRecorderRecordDoesNotAllocate at the telemetry layer).
+// TCP backend with distributed tracing off vs on. Both send the same
+// frames (trace 0 when off); the "on" path adds two clock reads and ring
+// writes per attempt. The allocation count must not move (hop recording
+// is alloc-free — enforced by TestHopRecorderRecordDoesNotAllocate at the
+// telemetry layer).
 func BenchmarkRouterTracingOverhead(b *testing.B) {
 	for _, mode := range []struct {
 		name    string
@@ -60,7 +60,7 @@ func BenchmarkRouterTracingOverhead(b *testing.B) {
 			r := benchCluster(b, mode.noTrace)
 			line := lineFor(1)
 			if _, err := r.Write(0, line); err != nil {
-				b.Fatal(err) // warm the pool + capability cache
+				b.Fatal(err) // warm the pool
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -15,9 +15,14 @@ import (
 )
 
 // ErrNoReplica is returned when every candidate node for an address was
-// down or exhausted its retry budget; the TCP front-end maps it to
-// StatusUnavailable.
-var ErrNoReplica = errors.New("cluster: no healthy replica")
+// down or exhausted its retry budget. It matches server.ErrUnavailable
+// under errors.Is, so server.StatusOf maps it to StatusUnavailable.
+var ErrNoReplica error = noReplica{}
+
+type noReplica struct{}
+
+func (noReplica) Error() string { return "cluster: no healthy replica" }
+func (noReplica) Unwrap() error { return server.ErrUnavailable }
 
 // maxReplicas bounds the replication factor (stack buffers on the
 // routing path are sized by it).
@@ -99,11 +104,6 @@ type nodeState struct {
 	node Node
 	pool *server.Pool
 	up   atomic.Bool
-
-	// traced caches the node's protocol capability (capUnknown /
-	// capTraced / capLegacy), established by one hello probe on first
-	// traced use — see tracedCap in trace.go.
-	traced atomic.Int32
 
 	writes    atomic.Uint64
 	reads     atomic.Uint64
@@ -319,7 +319,8 @@ func (r *Router) Write(addr uint64, line ecc.Line) (server.WriteResponse, error)
 }
 
 // WriteTraced is Write under a caller-supplied trace ID (the cluster
-// TCP front-end passes the client's wire ID; 0 routes untraced).
+// TCP front-end passes the client's wire ID; 0 leaves each node to mint
+// its own).
 func (r *Router) WriteTraced(trace uint64, addr uint64, line ecc.Line) (server.WriteResponse, error) {
 	began := r.hopClock()
 	r.markDirty(addr)
@@ -337,11 +338,7 @@ func (r *Router) WriteTraced(trace uint64, addr uint64, line ecc.Line) (server.W
 		var out server.WriteResponse
 		err := r.doNodeCtx(st, trace, server.OpWrite, addr, func(c *server.TCPClient) error {
 			var err error
-			if trace != 0 && r.tracedCap(st) {
-				out, err = c.WriteTraced(trace, addr, line)
-			} else {
-				out, err = c.Write(addr, line)
-			}
+			out, err = c.WriteTraced(trace, addr, line)
 			return err
 		})
 		if err != nil {
@@ -369,7 +366,7 @@ func (r *Router) WriteTraced(trace uint64, addr uint64, line ecc.Line) (server.W
 		if lastErr == nil {
 			lastErr = ErrNoReplica
 		}
-		r.hop(telemetry.HopRoute, trace, server.OpWrite, "", addr, 0, hopStatus(lastErr), began)
+		r.hop(telemetry.HopRoute, trace, server.OpWrite, "", addr, 0, server.StatusOf(lastErr), began)
 		return server.WriteResponse{}, fmt.Errorf("%w (addr=%d): %v", ErrNoReplica, addr, lastErr)
 	}
 	resp.Trace = trace
@@ -401,15 +398,14 @@ func (r *Router) Read(addr uint64) (server.ReadResponse, error) {
 	return r.ReadTraced(r.NewTraceID(), addr)
 }
 
-// ReadTraced is Read under a caller-supplied trace ID (0 routes
-// untraced).
+// ReadTraced is Read under a caller-supplied trace ID (see WriteTraced).
 func (r *Router) ReadTraced(trace uint64, addr uint64) (server.ReadResponse, error) {
 	began := r.hopClock()
 	resp, err := r.readRouted(trace, addr)
 	if err == nil {
 		resp.Trace = trace
 	}
-	r.hop(telemetry.HopRoute, trace, server.OpRead, "", addr, 0, hopStatus(err), began)
+	r.hop(telemetry.HopRoute, trace, server.OpRead, "", addr, 0, server.StatusOf(err), began)
 	return resp, err
 }
 
@@ -456,11 +452,7 @@ func (r *Router) readNode(st *nodeState, trace uint64, addr uint64) (server.Read
 	var out server.ReadResponse
 	err := r.doNodeCtx(st, trace, server.OpRead, addr, func(c *server.TCPClient) error {
 		var err error
-		if trace != 0 && r.tracedCap(st) {
-			out, err = c.ReadTraced(trace, addr)
-		} else {
-			out, err = c.Read(addr)
-		}
+		out, err = c.ReadTraced(trace, addr)
 		return err
 	})
 	if err == nil {
@@ -559,12 +551,7 @@ func (r *Router) readRepair(trace uint64, addr uint64, set []*nodeState) (server
 			r.logf("cluster: read repair addr=%d (trace=%d): rewriting %s from %s", addr, trace, g.st.node.Name, auth.st.node.Name)
 			began := r.hopClock()
 			_ = r.doNodeCtx(g.st, trace, server.OpWrite, addr, func(c *server.TCPClient) error {
-				var err error
-				if trace != 0 && r.tracedCap(g.st) {
-					_, err = c.WriteTraced(trace, addr, line)
-				} else {
-					_, err = c.Write(addr, line)
-				}
+				_, err := c.WriteTraced(trace, addr, line)
 				return err
 			})
 			r.hop(telemetry.HopReadRepair, trace, server.OpWrite, g.st.node.Name, addr, 0, 0, began)

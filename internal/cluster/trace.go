@@ -13,10 +13,10 @@ import (
 // Router-side distributed tracing.
 //
 // The router is the trace originator for the cluster: every routed request
-// gets one fleet-wide trace ID — minted here for untraced client frames,
-// adopted from the wire for version-1 traced frames — and the ID is
-// propagated to every backend the request touches via the traced protocol
-// ops. Backends adopt it (shard.Engine.AdoptTrace), so the same ID shows
+// gets one fleet-wide trace ID — minted here for client frames carrying
+// trace 0, adopted from the wire otherwise — and the ID is propagated to
+// every backend the request touches in the frames' trace field. Backends
+// adopt it (shard.Engine.AdoptTrace), so the same ID shows
 // up in the router's hop recorder, each node's slow-request log and
 // per-shard flight recorder, and the client response.
 //
@@ -78,61 +78,6 @@ func (r *Router) hopNow(h telemetry.Hop, trace uint64, op byte, node string, add
 	r.flight.Record(h, trace, op, node, addr, attempt, status, time.Now().UnixNano(), 0)
 }
 
-// hopStatus maps a routing error onto the protocol status byte recorded
-// in hop events (0 = OK).
-func hopStatus(err error) byte {
-	if err == nil {
-		return server.StatusOK
-	}
-	return errStatus(err)
-}
-
-// Per-node protocol capability cache values (nodeState.traced).
-const (
-	capUnknown int32 = 0  // not yet probed; send untraced frames
-	capTraced  int32 = 1  // hello succeeded; traced frames OK
-	capLegacy  int32 = -1 // hello answered BadRequest; version-0 peer
-)
-
-// tracedCap reports whether st accepts version-1 traced frames, probing
-// with one 'H' hello round trip on first use. The probe is safe against
-// version-0 peers — see the protocol comment in internal/server/proto.go
-// — but leaves the probed connection misaligned (a junk status byte is
-// queued), so a legacy verdict discards it. A transport failure leaves
-// the capability unknown: the request proceeds untraced and a later
-// request re-probes.
-func (r *Router) tracedCap(st *nodeState) bool {
-	if r.hops == nil {
-		return false
-	}
-	switch st.traced.Load() {
-	case capTraced:
-		return true
-	case capLegacy:
-		return false
-	}
-	c, err := st.pool.Get()
-	if err != nil {
-		return false
-	}
-	_ = c.SetDeadline(time.Now().Add(r.cfg.RequestTimeout))
-	ver, herr := c.Hello()
-	switch {
-	case herr == nil && ver >= 1:
-		st.traced.Store(capTraced)
-		st.pool.Put(c)
-		return true
-	case errors.Is(herr, server.ErrLegacyProto):
-		st.traced.Store(capLegacy)
-		st.pool.Discard(c)
-		r.logf("cluster: node %s speaks protocol v0; sending untraced frames", st.node.Name)
-		return false
-	default:
-		st.pool.Discard(c)
-		return false
-	}
-}
-
 // doNodeCtx is doNode with trace context: it runs one operation against
 // one node under the per-node retry budget, recording checkout, attempt,
 // retry and markDown hops as it goes. op is the protocol op byte the
@@ -143,7 +88,7 @@ func (r *Router) doNodeCtx(st *nodeState, trace uint64, op byte, addr uint64, f 
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
 			r.retries.Add(1)
-			r.hopNow(telemetry.HopRetry, trace, op, st.node.Name, addr, a, hopStatus(lastErr))
+			r.hopNow(telemetry.HopRetry, trace, op, st.node.Name, addr, a, server.StatusOf(lastErr))
 		}
 		t0 := r.hopClock()
 		c, err := st.pool.Get()
@@ -156,7 +101,7 @@ func (r *Router) doNodeCtx(st *nodeState, trace uint64, op byte, addr uint64, f 
 		_ = c.SetDeadline(time.Now().Add(r.cfg.RequestTimeout))
 		t1 := r.hopClock()
 		err = f(c)
-		r.hop(telemetry.HopAttempt, trace, op, st.node.Name, addr, a, hopStatus(err), t1)
+		r.hop(telemetry.HopAttempt, trace, op, st.node.Name, addr, a, server.StatusOf(err), t1)
 		if err == nil {
 			st.pool.Put(c)
 			return nil
@@ -186,7 +131,7 @@ func (r *Router) doNodeCtx(st *nodeState, trace uint64, op byte, addr uint64, f 
 func (r *Router) markDownTr(st *nodeState, err error, trace uint64, op byte, addr uint64) {
 	if st.up.Swap(false) {
 		r.logf("cluster: node %s marked down (trace=%d): %v", st.node.Name, trace, err)
-		r.hopNow(telemetry.HopMarkDown, trace, op, st.node.Name, addr, 0, hopStatus(err))
+		r.hopNow(telemetry.HopMarkDown, trace, op, st.node.Name, addr, 0, server.StatusOf(err))
 	}
 }
 

@@ -1,39 +1,14 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
-	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"github.com/esdsim/esd/internal/config"
-	"github.com/esdsim/esd/internal/server"
-	"github.com/esdsim/esd/internal/shard"
 	"github.com/esdsim/esd/internal/telemetry"
 )
-
-// lockedBuf is a goroutine-safe log sink (the prober and the test both
-// write through Router.logf).
-type lockedBuf struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (b *lockedBuf) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *lockedBuf) String() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.String()
-}
 
 // hopKinds collects the hop-kind names recorded under one trace ID.
 func hopKinds(recs []telemetry.HopRecord, trace uint64) map[string]int {
@@ -145,69 +120,6 @@ func TestRouterTracingDisabled(t *testing.T) {
 	}
 	if resp.Trace != 0 {
 		t.Fatalf("untraced read echoed trace %#x", resp.Trace)
-	}
-}
-
-// A version-0 peer (esdserve -legacy-frames) must keep working behind a
-// tracing router: the hello probe detects it once, the router falls back
-// to untraced frames for that node, and traffic flows.
-func TestRouterLegacyNodeFallback(t *testing.T) {
-	cfg := config.Default()
-	cfg.PCM.CapacityBytes = 1 << 26
-	cfg.Meta.EFITCacheBytes = 16 << 10
-	cfg.Meta.AMTCacheBytes = 16 << 10
-	eng, err := shard.New(cfg, "esd", shard.Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.New(eng, server.Config{
-		Addr: "127.0.0.1:0", TCPAddr: "127.0.0.1:0", DisableTracedFrames: true,
-	})
-	if err != nil {
-		_ = eng.Close()
-		t.Fatal(err)
-	}
-	b := &testBackend{
-		node: Node{Name: "legacy", TCPAddr: srv.TCPAddr(), HTTPAddr: srv.Addr()},
-		eng:  eng,
-		srv:  srv,
-	}
-	t.Cleanup(func() { b.kill(t) })
-
-	var logs lockedBuf
-	r, err := NewRouter(Config{Nodes: []Node{b.node}, ProbeInterval: time.Hour, Log: &logs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(r.Close)
-
-	trace := r.NewTraceID()
-	wout, err := r.WriteTraced(trace, 11, lineFor(11))
-	if err != nil {
-		t.Fatalf("traced write against legacy node: %v", err)
-	}
-	// The router still owns the fleet ID even when the peer can't echo it.
-	if wout.Trace != trace {
-		t.Fatalf("write response trace = %#x, want %#x", wout.Trace, trace)
-	}
-	rout, err := r.ReadTraced(trace, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rout.Hit || rout.Trace != trace {
-		t.Fatalf("read after legacy write: hit=%v trace=%#x", rout.Hit, rout.Trace)
-	}
-
-	st := r.state["legacy"]
-	if got := st.traced.Load(); got != capLegacy {
-		t.Fatalf("capability cache = %d, want capLegacy", got)
-	}
-	if !strings.Contains(logs.String(), "speaks protocol v0") {
-		t.Fatalf("router log missing legacy-detection line:\n%s", logs.String())
-	}
-	// The router-side hops still record the request.
-	if kinds := hopKinds(r.HopRecords(), trace); kinds["route"] == 0 || kinds["attempt"] == 0 {
-		t.Fatalf("hop records incomplete for legacy-node trace: %v", kinds)
 	}
 }
 

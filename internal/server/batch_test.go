@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/binary"
 	"testing"
 
 	"github.com/esdsim/esd/internal/shard"
@@ -106,10 +105,7 @@ func TestTCPBatchOversizedCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	var frame [3]byte
-	frame[0] = OpWriteBatch
-	binary.LittleEndian.PutUint16(frame[1:], MaxBatchOps+1)
-	st, err := c.roundTrip(frame[:])
+	st, err := c.roundTrip(frame(OpWriteBatch, 0, u16(MaxBatchOps+1)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,9 +123,9 @@ type BatchWriteOp struct {
 	Line ecc.Line
 }
 
-// BatchWriteResult is one per-op result of a batched write. Err decodes
-// the per-op status (nil on StatusOK); the payload fields are valid only
-// when Err is nil.
+// BatchWriteResult is one per-op write record: an entry of a batch
+// response, or the payload of a scalar one. Err decodes the per-op status
+// (nil on StatusOK); the payload fields are valid only when Err is nil.
 type BatchWriteResult struct {
 	Err       error
 	Dedup     bool
@@ -133,7 +133,7 @@ type BatchWriteResult struct {
 	LatencyNs float64
 }
 
-// BatchReadResult is one per-op result of a batched read.
+// BatchReadResult is one per-op read record (see BatchWriteResult).
 type BatchReadResult struct {
 	Err       error
 	Hit       bool
@@ -149,8 +149,9 @@ type TCPClient struct {
 	br   *bufio.Reader
 	bw   *bufio.Writer
 
-	// batchBuf is the reusable frame scratch for WriteBatch/ReadBatch.
-	batchBuf []byte
+	// buf is the scratch for fixed-size frame pieces; living in the
+	// client, it keeps the per-call path allocation-free.
+	buf [readRecLen + traceLen]byte
 }
 
 // DialTCP connects a binary-protocol client to addr.
@@ -159,25 +160,20 @@ func DialTCP(addr string) (*TCPClient, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: dial %s: %w", addr, err)
 	}
-	return &TCPClient{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}, nil
+	// The write buffer holds the largest request frame, so a full batch
+	// leaves in one write rather than in buffer-sized pieces.
+	bw := bufio.NewWriterSize(conn, 1+batchHeadLen+MaxBatchOps*writeReqLen)
+	return &TCPClient{conn: conn, br: bufio.NewReader(conn), bw: bw}, nil
 }
 
-func statusErr(st byte) error {
-	switch st {
-	case StatusOverloaded:
-		return ErrOverloaded
-	case StatusTimeout:
-		return ErrTimeout
-	case StatusClosing:
-		return ErrClosing
-	case StatusUnavailable:
-		return ErrUnavailable
-	default:
-		return fmt.Errorf("server: %s", statusText(st))
-	}
+// read fills and returns c.buf[:n] from the response stream.
+func (c *TCPClient) read(n int) ([]byte, error) {
+	_, err := io.ReadFull(c.br, c.buf[:n])
+	return c.buf[:n], err
 }
 
-// roundTrip sends one request frame and reads the status byte.
+// roundTrip sends frame after whatever the request already buffered, and
+// reads the response status byte.
 func (c *TCPClient) roundTrip(frame []byte) (byte, error) {
 	if _, err := c.bw.Write(frame); err != nil {
 		return 0, err
@@ -185,66 +181,98 @@ func (c *TCPClient) roundTrip(frame []byte) (byte, error) {
 	if err := c.bw.Flush(); err != nil {
 		return 0, err
 	}
-	var st [1]byte
-	if err := readFull(c.br, st[:]); err != nil {
+	return c.br.ReadByte()
+}
+
+// reply runs one scalar round trip and returns the OK response: the
+// record, then the echoed trace.
+func (c *TCPClient) reply(frame []byte, recLen int) ([]byte, error) {
+	st, err := c.roundTrip(frame)
+	if err != nil {
+		return nil, err
+	}
+	if st != StatusOK {
+		return nil, statusErr(st)
+	}
+	c.buf[0] = st
+	_, err = io.ReadFull(c.br, c.buf[1:recLen+traceLen])
+	return c.buf[:recLen+traceLen], err
+}
+
+// Write stores one line; the server mints the request's trace ID.
+func (c *TCPClient) Write(addr uint64, line ecc.Line) (WriteResponse, error) {
+	return c.WriteTraced(0, addr, line)
+}
+
+// WriteTraced is Write under a caller-supplied trace ID (0 lets the
+// server mint one). The response's Trace is the ID the server used.
+func (c *TCPClient) WriteTraced(trace, addr uint64, line ecc.Line) (WriteResponse, error) {
+	b := c.buf[:1+traceLen+writeReqLen]
+	b[0] = OpWrite
+	putU64(b[1:], trace)
+	putU64(b[9:], addr)
+	copy(b[17:], line[:])
+	p, err := c.reply(b, writeRecLen)
+	if err != nil {
+		return WriteResponse{}, err
+	}
+	r := writeRec(p)
+	return WriteResponse{Dedup: r.Dedup, PhysAddr: r.PhysAddr, LatencyNs: r.LatencyNs, Trace: getU64(p[writeRecLen:])}, nil
+}
+
+// Read loads one line; the server mints the request's trace ID.
+func (c *TCPClient) Read(addr uint64) (ReadResponse, error) {
+	return c.ReadTraced(0, addr)
+}
+
+// ReadTraced is Read under a caller-supplied trace ID (see WriteTraced).
+func (c *TCPClient) ReadTraced(trace, addr uint64) (ReadResponse, error) {
+	b := c.buf[:1+traceLen+readReqLen]
+	b[0] = OpRead
+	putU64(b[1:], trace)
+	putU64(b[9:], addr)
+	p, err := c.reply(b, readRecLen)
+	if err != nil {
+		return ReadResponse{}, err
+	}
+	var r BatchReadResult
+	readRec(p, &r)
+	return ReadResponse{Hit: r.Hit, Data: append([]byte(nil), r.Data[:]...), LatencyNs: r.LatencyNs, Trace: getU64(p[readRecLen:])}, nil
+}
+
+// batch sends a batch frame — its head, then body(i) for every op — and
+// reads the response head, returning the echoed trace.
+func (c *TCPClient) batch(op byte, trace uint64, n int, body func(i int) []byte) (uint64, error) {
+	if n > MaxBatchOps {
+		return 0, fmt.Errorf("server: batch of %d ops exceeds MaxBatchOps=%d", n, MaxBatchOps)
+	}
+	b := c.buf[:1+batchHeadLen]
+	b[0] = op
+	putU64(b[1:], trace)
+	binary.LittleEndian.PutUint16(b[1+traceLen:], uint16(n))
+	if _, err := c.bw.Write(b); err != nil {
 		return 0, err
 	}
-	return st[0], nil
-}
-
-func (c *TCPClient) Write(addr uint64, line ecc.Line) (WriteResponse, error) {
-	// Request frames are fixed-size; stack arrays keep the per-call client
-	// path allocation-free (roundTrip's bufio.Writer copies the bytes).
-	var frame [1 + writeReqLen]byte
-	frame[0] = OpWrite
-	putU64(frame[1:9], addr)
-	copy(frame[9:], line[:])
-	st, err := c.roundTrip(frame[:])
+	for i := 0; i < n; i++ {
+		if _, err := c.bw.Write(body(i)); err != nil {
+			return 0, err
+		}
+	}
+	st, err := c.roundTrip(nil)
 	if err != nil {
-		return WriteResponse{}, err
+		return 0, err
 	}
 	if st != StatusOK {
-		return WriteResponse{}, statusErr(st)
+		return 0, statusErr(st)
 	}
-	var payload [1 + 8 + 8]byte
-	if err := readFull(c.br, payload[:]); err != nil {
-		return WriteResponse{}, err
-	}
-	return WriteResponse{
-		Dedup:     payload[0] == 1,
-		PhysAddr:  getU64(payload[1:9]),
-		LatencyNs: float64(getU64(payload[9:])),
-	}, nil
-}
-
-func (c *TCPClient) Read(addr uint64) (ReadResponse, error) {
-	var frame [1 + readReqLen]byte
-	frame[0] = OpRead
-	putU64(frame[1:], addr)
-	st, err := c.roundTrip(frame[:])
+	h, err := c.read(2 + traceLen)
 	if err != nil {
-		return ReadResponse{}, err
+		return 0, err
 	}
-	if st != StatusOK {
-		return ReadResponse{}, statusErr(st)
+	if got := int(binary.LittleEndian.Uint16(h)); got != n {
+		return 0, fmt.Errorf("server: batch response carries %d results for %d ops", got, n)
 	}
-	var payload [1 + ecc.LineSize + 8]byte
-	if err := readFull(c.br, payload[:]); err != nil {
-		return ReadResponse{}, err
-	}
-	return ReadResponse{
-		Hit:       payload[0] == 1,
-		Data:      append([]byte(nil), payload[1:1+ecc.LineSize]...),
-		LatencyNs: float64(getU64(payload[1+ecc.LineSize:])),
-	}, nil
-}
-
-// grow returns c.batchBuf resized to n bytes.
-func (c *TCPClient) grow(n int) []byte {
-	if cap(c.batchBuf) < n {
-		c.batchBuf = make([]byte, n)
-	}
-	return c.batchBuf[:n]
+	return getU64(h[2:]), nil
 }
 
 // WriteBatch sends every op in one 'B' frame — one round trip for the
@@ -253,100 +281,64 @@ func (c *TCPClient) grow(n int) []byte {
 // error reports transport or framing failure; per-op flow control
 // (overloaded, timeout, closing) lands in res[i].Err.
 func (c *TCPClient) WriteBatch(ops []BatchWriteOp, res []BatchWriteResult) error {
-	if len(ops) > MaxBatchOps {
-		return fmt.Errorf("server: batch of %d ops exceeds MaxBatchOps=%d", len(ops), MaxBatchOps)
-	}
+	_, err := c.WriteBatchTraced(0, ops, res)
+	return err
+}
+
+// WriteBatchTraced is WriteBatch under a caller-supplied trace ID (0 lets
+// the server mint one); it returns the ID the server used.
+func (c *TCPClient) WriteBatchTraced(trace uint64, ops []BatchWriteOp, res []BatchWriteResult) (uint64, error) {
 	if len(res) != len(ops) {
-		return fmt.Errorf("server: results slice has %d entries for %d ops", len(res), len(ops))
+		return 0, fmt.Errorf("server: results slice has %d entries for %d ops", len(res), len(ops))
 	}
-	frame := c.grow(1 + 2 + len(ops)*writeReqLen)[:3]
-	frame[0] = OpWriteBatch
-	binary.LittleEndian.PutUint16(frame[1:], uint16(len(ops)))
-	for i := range ops {
-		var rec [writeReqLen]byte
-		putU64(rec[:8], ops[i].Addr)
-		copy(rec[8:], ops[i].Line[:])
-		frame = append(frame, rec[:]...)
-	}
-	st, err := c.roundTrip(frame)
+	trace, err := c.batch(OpWriteBatch, trace, len(ops), func(i int) []byte {
+		b := c.buf[:writeReqLen]
+		putU64(b, ops[i].Addr)
+		copy(b[8:], ops[i].Line[:])
+		return b
+	})
 	if err != nil {
-		return err
-	}
-	if st != StatusOK {
-		return statusErr(st)
-	}
-	var cnt [2]byte
-	if err := readFull(c.br, cnt[:]); err != nil {
-		return err
-	}
-	if n := int(binary.LittleEndian.Uint16(cnt[:])); n != len(ops) {
-		return fmt.Errorf("server: batch response carries %d results for %d ops", n, len(ops))
-	}
-	payload := c.grow(len(ops) * writeBatchRecLen)
-	if err := readFull(c.br, payload); err != nil {
-		return err
+		return 0, err
 	}
 	for i := range res {
-		rec := payload[i*writeBatchRecLen:]
-		if rec[0] != StatusOK {
-			res[i] = BatchWriteResult{Err: statusErr(rec[0])}
-			continue
+		b, err := c.read(writeRecLen)
+		if err != nil {
+			return 0, err
 		}
-		res[i] = BatchWriteResult{
-			Dedup:     rec[1] == 1,
-			PhysAddr:  getU64(rec[2:10]),
-			LatencyNs: float64(getU64(rec[10:18])),
-		}
+		res[i] = writeRec(b)
 	}
-	return nil
+	return trace, nil
 }
 
 // ReadBatch sends every address in one 'b' frame and decodes the per-op
 // results into res (len(addrs) entries; see WriteBatch for the error
 // contract).
 func (c *TCPClient) ReadBatch(addrs []uint64, res []BatchReadResult) error {
-	if len(addrs) > MaxBatchOps {
-		return fmt.Errorf("server: batch of %d ops exceeds MaxBatchOps=%d", len(addrs), MaxBatchOps)
-	}
+	_, err := c.ReadBatchTraced(0, addrs, res)
+	return err
+}
+
+// ReadBatchTraced is ReadBatch under a caller-supplied trace ID (see
+// WriteBatchTraced).
+func (c *TCPClient) ReadBatchTraced(trace uint64, addrs []uint64, res []BatchReadResult) (uint64, error) {
 	if len(res) != len(addrs) {
-		return fmt.Errorf("server: results slice has %d entries for %d ops", len(res), len(addrs))
+		return 0, fmt.Errorf("server: results slice has %d entries for %d ops", len(res), len(addrs))
 	}
-	frame := c.grow(1 + 2 + len(addrs)*readReqLen)
-	frame[0] = OpReadBatch
-	binary.LittleEndian.PutUint16(frame[1:], uint16(len(addrs)))
-	for i, a := range addrs {
-		putU64(frame[3+i*readReqLen:], a)
-	}
-	st, err := c.roundTrip(frame)
+	trace, err := c.batch(OpReadBatch, trace, len(addrs), func(i int) []byte {
+		putU64(c.buf[:], addrs[i])
+		return c.buf[:readReqLen]
+	})
 	if err != nil {
-		return err
-	}
-	if st != StatusOK {
-		return statusErr(st)
-	}
-	var cnt [2]byte
-	if err := readFull(c.br, cnt[:]); err != nil {
-		return err
-	}
-	if n := int(binary.LittleEndian.Uint16(cnt[:])); n != len(addrs) {
-		return fmt.Errorf("server: batch response carries %d results for %d ops", n, len(addrs))
-	}
-	payload := c.grow(len(addrs) * readBatchRecLen)
-	if err := readFull(c.br, payload); err != nil {
-		return err
+		return 0, err
 	}
 	for i := range res {
-		rec := payload[i*readBatchRecLen:]
-		if rec[0] != StatusOK {
-			res[i] = BatchReadResult{Err: statusErr(rec[0])}
-			continue
+		b, err := c.read(readRecLen)
+		if err != nil {
+			return 0, err
 		}
-		res[i].Err = nil
-		res[i].Hit = rec[1] == 1
-		copy(res[i].Data[:], rec[2:2+ecc.LineSize])
-		res[i].LatencyNs = float64(getU64(rec[2+ecc.LineSize : 2+ecc.LineSize+8]))
+		readRec(b, &res[i])
 	}
-	return nil
+	return trace, nil
 }
 
 func (c *TCPClient) Flush() error {
@@ -368,16 +360,16 @@ func (c *TCPClient) Stats() (StatsResponse, error) {
 	if st != StatusOK {
 		return StatsResponse{}, statusErr(st)
 	}
-	var lenBuf [4]byte
-	if err := readFull(c.br, lenBuf[:]); err != nil {
+	lenBuf, err := c.read(4)
+	if err != nil {
 		return StatsResponse{}, err
 	}
-	n := int(lenBuf[0]) | int(lenBuf[1])<<8 | int(lenBuf[2])<<16 | int(lenBuf[3])<<24
-	if n < 0 || n > 1<<20 {
+	n := binary.LittleEndian.Uint32(lenBuf)
+	if n > 1<<20 {
 		return StatsResponse{}, fmt.Errorf("server: stats payload length %d", n)
 	}
 	payload := make([]byte, n)
-	if err := readFull(c.br, payload); err != nil {
+	if _, err := io.ReadFull(c.br, payload); err != nil {
 		return StatsResponse{}, err
 	}
 	var out StatsResponse

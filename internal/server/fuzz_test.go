@@ -1,137 +1,92 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
-	"net"
 	"testing"
-	"time"
 
 	"github.com/esdsim/esd/internal/config"
 	"github.com/esdsim/esd/internal/shard"
 )
 
-// fuzzServer builds a Server around a live 2-shard engine without any
-// listeners: FuzzTCPFrame feeds serveFrame directly, which is the entire
-// per-frame parse/dispatch/encode path a hostile client can reach.
-func fuzzServer(t testing.TB) (*Server, func()) {
+// frame assembles a request frame: op, then the trace for data ops, then
+// body.
+func frame(op byte, trace uint64, body ...[]byte) []byte {
+	b := []byte{op}
+	if op != OpFlush && op != OpStats {
+		b = binary.LittleEndian.AppendUint64(b, trace)
+	}
+	for _, p := range body {
+		b = append(b, p...)
+	}
+	return b
+}
+
+// writeBody returns a well-formed write body: addr then a patterned line.
+func writeBody(addr uint64) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, addr)
+	for i := 0; i < writeReqLen-8; i++ {
+		b = append(b, byte(i))
+	}
+	return b
+}
+
+func u16(n int) []byte    { return binary.LittleEndian.AppendUint16(nil, uint16(n)) }
+func u64(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+
+// FuzzFrame throws arbitrary byte streams at the shared frame loop — the
+// parse/dispatch/encode path a hostile client can reach on a node and, as
+// the same code serves it, on the cluster router. Malformed frames must
+// produce an error status or drop the connection: never a panic, never a
+// hang.
+func FuzzFrame(f *testing.F) {
+	for _, seed := range [][]byte{
+		// Every op, well formed, traced and minting.
+		frame(OpWrite, 0, writeBody(7)),
+		frame(OpRead, 0xABCD, u64(7)),
+		frame(OpWriteBatch, 0, u16(3), writeBody(1), writeBody(2), writeBody(1)),
+		frame(OpReadBatch, 9, u16(2), u64(1), u64(2)),
+		frame(OpFlush, 0),
+		frame(OpStats, 0),
+		// Zero-count batches, then a bursty stream of frames.
+		frame(OpWriteBatch, 0, u16(0)),
+		append(frame(OpReadBatch, 0, u16(0)), bytes.Repeat([]byte{OpFlush}, 16)...),
+		// Truncated: mid-trace, mid-body, mid-count, mid-batch.
+		{OpWrite, 0x01, 0x02},
+		frame(OpRead, 0),
+		frame(OpWrite, 0, writeBody(1)[:20]),
+		frame(OpWriteBatch, 0, []byte{0x05}),
+		frame(OpWriteBatch, 0, u16(2), []byte{0xAA}),
+		frame(OpReadBatch, 0, u16(2), []byte{1, 2, 3}),
+		append(frame(OpReadBatch, 0, u16(1), u64(0)), frame(OpWriteBatch, 0, u16(1))...),
+		// Oversized counts.
+		frame(OpWriteBatch, 0, u16(0xFFFF)),
+		frame(OpReadBatch, 0, u16(MaxBatchOps+1)),
+		// Unknown ops, alone and ahead of a valid frame.
+		{0xFF, 0x00, 0x01},
+		append([]byte{0x00}, frame(OpWrite, 0, writeBody(1))...),
+		{'H', 1},
+	} {
+		f.Add(seed)
+	}
+
 	cfg := config.Default()
 	cfg.PCM.CapacityBytes = 1 << 22
 	eng, err := shard.New(cfg, "esd", shard.Options{Shards: 2})
 	if err != nil {
-		t.Fatal(err)
+		f.Fatal(err)
 	}
-	s := &Server{
-		eng:      eng,
-		cfg:      Config{RequestTimeout: 2 * time.Second}.withDefaults(),
-		conns:    make(map[net.Conn]struct{}),
-		draining: make(chan struct{}),
-		start:    time.Now(),
-	}
-	return s, func() { _ = eng.Close() }
-}
-
-// validWriteFrame returns a well-formed write request body (everything
-// after the op byte).
-func validWriteFrame(addr uint64) []byte {
-	b := make([]byte, writeReqLen)
-	putU64(b[:8], addr)
-	for i := 8; i < len(b); i++ {
-		b[i] = byte(i)
-	}
-	return b
-}
-
-// FuzzTCPFrame throws arbitrary byte streams at the binary protocol's
-// frame handler. Malformed frames must produce an error status or drop the
-// connection — never a panic, never a hang. The handler is driven exactly
-// like handleConn drives it: one op byte, then serveFrame consumes the
-// rest.
-func FuzzTCPFrame(f *testing.F) {
-	f.Add(append([]byte{OpWrite}, validWriteFrame(7)...))
-	read := make([]byte, 1+readReqLen)
-	read[0] = OpRead
-	f.Add(read)
-	f.Add([]byte{OpFlush})
-	f.Add([]byte{OpStats})
-	f.Add([]byte{OpWrite, 0x01, 0x02})                 // truncated write
-	f.Add([]byte{OpRead})                              // truncated read
-	f.Add([]byte{0xFF, 0x00, 0x01})                    // unknown op
-	f.Add([]byte{OpWrite})                             // header only
-	f.Add(bytes.Repeat([]byte{OpFlush}, 16))           // frame burst
-	f.Add(append([]byte{0x00}, validWriteFrame(1)...)) // zero op
-
-	srv, closeEng := fuzzServer(f)
-	defer closeEng()
+	defer eng.Close()
+	b := nodeBackend{&Server{eng: eng, cfg: Config{}.withDefaults()}}
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		br := bufio.NewReader(bytes.NewReader(stream))
 		var out bytes.Buffer
-		bw := bufio.NewWriter(&out)
-		// Drive frames until the handler drops the connection or the
-		// stream runs dry — exactly handleConn's loop, minus the sockets.
+		c := newFrameConn(b, bytes.NewReader(stream), &out)
+		// FrameServer.handle's loop, minus the socket deadlines.
 		for {
-			op, err := br.ReadByte()
-			if err != nil {
-				break
-			}
-			if !srv.serveFrame(br, bw, op) {
-				break
-			}
-			if bw.Flush() != nil {
-				break
-			}
-		}
-	})
-}
-
-// validBatchFrame returns a well-formed 'B' body with n copies of one
-// write record.
-func validBatchFrame(n int) []byte {
-	b := make([]byte, 2, 2+n*writeReqLen)
-	binary.LittleEndian.PutUint16(b, uint16(n))
-	for i := 0; i < n; i++ {
-		b = append(b, validWriteFrame(uint64(i))...)
-	}
-	return b
-}
-
-// FuzzTCPFrameBatch focuses the fuzzer on the batch frames: truncated
-// bodies, zero-op batches, oversized counts and garbage after the count
-// must produce an error status or drop the connection — never a panic,
-// never a hang, and every response the handler does write must be a
-// well-formed frame (the handler returning true means the full response
-// was written).
-func FuzzTCPFrameBatch(f *testing.F) {
-	f.Add(append([]byte{OpWriteBatch}, validBatchFrame(3)...))
-	f.Add(append([]byte{OpWriteBatch}, validBatchFrame(0)...))
-	f.Add([]byte{OpWriteBatch})                                                              // no count
-	f.Add([]byte{OpWriteBatch, 0x05})                                                        // half a count
-	f.Add([]byte{OpWriteBatch, 0x02, 0x00, 0xAA})                                            // count 2, truncated body
-	f.Add([]byte{OpWriteBatch, 0xFF, 0xFF})                                                  // count 65535 > MaxBatchOps
-	f.Add([]byte{OpReadBatch, 0x00, 0x00})                                                   // zero reads
-	f.Add([]byte{OpReadBatch, 0x02, 0x00, 1, 2, 3})                                          // truncated addresses
-	f.Add([]byte{OpReadBatch, 0xFF, 0x7F})                                                   // oversized read count
-	f.Add([]byte{OpReadBatch, 0x01, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, OpWriteBatch, 0x01, 0x00}) // read batch then truncated write batch
-
-	srv, closeEng := fuzzServer(f)
-	defer closeEng()
-
-	f.Fuzz(func(t *testing.T, stream []byte) {
-		br := bufio.NewReader(bytes.NewReader(stream))
-		var out bytes.Buffer
-		bw := bufio.NewWriter(&out)
-		for {
-			op, err := br.ReadByte()
-			if err != nil {
-				break
-			}
-			if !srv.serveFrame(br, bw, op) {
-				break
-			}
-			if bw.Flush() != nil {
-				break
+			op, err := c.br.ReadByte()
+			if err != nil || !c.serve(op) || c.bw.Flush() != nil {
+				return
 			}
 		}
 	})

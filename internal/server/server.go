@@ -39,12 +39,6 @@ type Config struct {
 	// SlowLog receives slow-request lines and error-path flight-recorder
 	// dumps (default os.Stderr).
 	SlowLog io.Writer
-	// DisableTracedFrames makes the TCP endpoint behave like a protocol
-	// version-0 binary: the traced ops and the 'H' hello are answered with
-	// StatusBadRequest, exactly as a pre-tracing build would answer any
-	// unknown op. Exists for backward-compat testing (cluster_smoke.sh runs
-	// a new router against a node in this mode) and as an escape hatch.
-	DisableTracedFrames bool
 }
 
 func (c Config) withDefaults() Config {
@@ -71,11 +65,8 @@ type Server struct {
 
 	httpLn net.Listener
 	httpSr *http.Server
-	tcpLn  net.Listener
+	frames *FrameServer // nil without a TCP listener
 
-	inflight sync.WaitGroup // TCP connection handlers
-	connMu   sync.Mutex
-	conns    map[net.Conn]struct{}
 	draining chan struct{}
 	closedMu sync.Once
 
@@ -98,7 +89,6 @@ func New(eng *shard.Engine, cfg Config) (*Server, error) {
 	s := &Server{
 		eng:        eng,
 		cfg:        cfg,
-		conns:      make(map[net.Conn]struct{}),
 		draining:   make(chan struct{}),
 		start:      time.Now(),
 		rateWrites: telemetry.NewRolling(rateWindow, rateSlots),
@@ -121,8 +111,7 @@ func New(eng *shard.Engine, cfg Config) (*Server, error) {
 			_ = s.httpSr.Close()
 			return nil, fmt.Errorf("server: listen tcp %s: %w", cfg.TCPAddr, err)
 		}
-		s.tcpLn = tln
-		go s.acceptTCP()
+		s.frames = ServeFrames(tln, nodeBackend{s}, s.draining)
 	}
 	return s, nil
 }
@@ -135,10 +124,10 @@ func (s *Server) URL() string { return "http://" + s.Addr() }
 
 // TCPAddr returns the bound binary-protocol address ("" when disabled).
 func (s *Server) TCPAddr() string {
-	if s.tcpLn == nil {
+	if s.frames == nil {
 		return ""
 	}
-	return s.tcpLn.Addr().String()
+	return s.frames.Addr()
 }
 
 // Shutdown gracefully drains the server: stop accepting, finish in-flight
@@ -148,28 +137,13 @@ func (s *Server) TCPAddr() string {
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.closedMu.Do(func() { close(s.draining) })
 	var firstErr error
-	if s.tcpLn != nil {
-		_ = s.tcpLn.Close()
-	}
 	if err := s.httpSr.Shutdown(ctx); err != nil {
 		firstErr = err
 		_ = s.httpSr.Close()
 	}
-	// Wait for TCP handlers; on ctx expiry cut the connections and wait
-	// again (handlers exit on read error).
-	done := make(chan struct{})
-	go func() { s.inflight.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		s.connMu.Lock()
-		for c := range s.conns {
-			_ = c.Close()
-		}
-		s.connMu.Unlock()
-		<-done
-		if firstErr == nil {
-			firstErr = ctx.Err()
+	if s.frames != nil {
+		if err := s.frames.Shutdown(ctx); err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	if err := s.eng.Flush(); err != nil && firstErr == nil && !errors.Is(err, shard.ErrClosed) {
@@ -178,44 +152,52 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return firstErr
 }
 
-func (s *Server) mux() http.Handler {
+// AdminMux returns a mux serving the introspection routes every serving
+// process exposes: /healthz, /readyz (503 with notReady as the body while
+// ready reports false), /statusz and /debug/flightrecorder (never null:
+// an empty recorder is []). Each server adds its own routes to it.
+func AdminMux[S, R any](ready func() bool, notReady string, status func() S, flight func() []R) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/write", s.handleWrite)
-	mux.HandleFunc("/v1/read", s.handleRead)
-	mux.HandleFunc("/v1/flush", s.handleFlush)
-	mux.HandleFunc("/v1/stats", s.handleStats)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if !s.Ready() {
-			http.Error(w, "draining", http.StatusServiceUnavailable)
+		if !ready() {
+			http.Error(w, notReady, http.StatusServiceUnavailable)
 			return
 		}
 		fmt.Fprintln(w, "ready")
 	})
 	mux.HandleFunc("/statusz", func(w http.ResponseWriter, r *http.Request) {
-		s.writeJSON(w, http.StatusOK, s.Statusz())
+		WriteJSON(w, status())
 	})
-	// Registered before the catch-all /debug/ telemetry mount below:
-	// ServeMux routes the longer pattern first, so the flight recorder
-	// works with or without -metrics.
 	mux.HandleFunc("/debug/flightrecorder", func(w http.ResponseWriter, r *http.Request) {
-		recs := s.eng.FlightRecords()
+		recs := flight()
 		if recs == nil {
-			recs = []telemetry.FlightRecord{}
+			recs = []R{}
 		}
-		s.writeJSON(w, http.StatusOK, recs)
+		WriteJSON(w, recs)
 	})
+	return mux
+}
+
+func (s *Server) mux() http.Handler {
+	mux := AdminMux(s.Ready, "draining", s.Statusz, s.eng.FlightRecords)
+	mux.HandleFunc("/v1/write", s.handleWrite)
+	mux.HandleFunc("/v1/read", s.handleRead)
+	mux.HandleFunc("/v1/flush", s.handleFlush)
+	mux.HandleFunc("/v1/stats", s.handleStats)
 	mux.HandleFunc("/debug/device", func(w http.ResponseWriter, r *http.Request) {
-		s.writeJSON(w, http.StatusOK, s.Device())
+		WriteJSON(w, s.Device())
 	})
 	// Raw per-shard health snapshots, shaped for nvm.MergeHealth: the
 	// cluster router scrapes this from every member and merges the fleet
 	// into one device view (/debug/device is the human-shaped rollup).
 	mux.HandleFunc("/debug/health", func(w http.ResponseWriter, r *http.Request) {
-		s.writeJSON(w, http.StatusOK, s.eng.DeviceHealths())
+		WriteJSON(w, s.eng.DeviceHealths())
 	})
+	// The catch-all /debug/ telemetry mount leaves the longer /debug/...
+	// patterns above to their own handlers, with or without -metrics.
 	if reg := s.eng.Registry(); reg != nil {
 		mux.Handle("/metrics", telemetry.Handler(reg, s.cfg.Pprof))
 		mux.Handle("/debug/", telemetry.Handler(reg, s.cfg.Pprof))
@@ -491,23 +473,24 @@ type StatsResponse struct {
 	SimNowNs     float64 `json:"sim_now_ns"`
 }
 
-func (s *Server) writeJSON(w http.ResponseWriter, code int, v interface{}) {
+// WriteJSON answers 200 with v as a JSON document.
+func WriteJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// mapErr translates engine errors to HTTP status codes. An unexpected
-// error (the 500 path) also dumps the flight-recorder tail to the slow
-// log, so the pipeline state that led to it is preserved.
+// mapErr translates engine errors to HTTP status codes through the
+// protocol's StatusOf mapping. An unexpected error (the 500 path) also
+// dumps the flight-recorder tail to the slow log, so the pipeline state
+// that led to it is preserved.
 func (s *Server) mapErr(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, shard.ErrOverloaded):
+	switch StatusOf(err) {
+	case StatusOverloaded:
 		w.Header().Set("Retry-After", "0")
 		http.Error(w, "shard queue full", http.StatusTooManyRequests)
-	case errors.Is(err, context.DeadlineExceeded):
+	case StatusTimeout:
 		http.Error(w, "request timed out", http.StatusGatewayTimeout)
-	case errors.Is(err, shard.ErrClosed):
+	case StatusClosing:
 		http.Error(w, "server draining", http.StatusServiceUnavailable)
 	default:
 		s.dumpFlight("error: " + err.Error())
@@ -541,7 +524,7 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
 		s.mapErr(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, WriteResponse{
+	WriteJSON(w, WriteResponse{
 		Dedup:     out.Deduplicated,
 		PhysAddr:  out.PhysAddr,
 		LatencyNs: out.Breakdown.Total().Nanoseconds(),
@@ -566,7 +549,7 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 		s.mapErr(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, ReadResponse{
+	WriteJSON(w, ReadResponse{
 		Hit:       res.Hit,
 		Data:      res.Data[:],
 		LatencyNs: res.Lat.Nanoseconds(),
@@ -593,7 +576,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		s.mapErr(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, statsFrom(s.eng, sum))
+	WriteJSON(w, statsFrom(s.eng, sum))
 }
 
 func statsFrom(eng *shard.Engine, sum shard.Summary) StatsResponse {

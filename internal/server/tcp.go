@@ -1,371 +1,120 @@
 package server
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
-	"encoding/json"
-	"errors"
-	"net"
 	"sync"
 	"time"
 
 	"github.com/esdsim/esd/internal/ecc"
+	"github.com/esdsim/esd/internal/memctrl"
 	"github.com/esdsim/esd/internal/shard"
 	"github.com/esdsim/esd/internal/telemetry"
 )
 
-// Batch-frame scratch pools: one full-size buffer per in-flight batch
-// frame, so the steady-state batch path does not allocate per frame. A
-// buffer is recycled as soon as serveFrame returns — safe even when the
-// engine call was abandoned on timeout, because the shard engine copies
-// lines into its own sub-batch buffers at submit time.
-var (
-	batchOpsPool = sync.Pool{New: func() any {
-		s := make([]shard.WriteBatchOp, MaxBatchOps)
-		return &s
-	}}
-	batchAddrsPool = sync.Pool{New: func() any {
-		s := make([]uint64, MaxBatchOps)
-		return &s
-	}}
-)
+// nodeBackend serves binary-protocol frames from the Server's shard
+// engine, under the server's per-request timeout and slow-request log.
+type nodeBackend struct{ s *Server }
 
-// acceptTCP runs the binary-protocol accept loop until the listener is
-// closed by Shutdown.
-func (s *Server) acceptTCP() {
-	for {
-		conn, err := s.tcpLn.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		select {
-		case <-s.draining:
-			_ = conn.Close()
-			continue
-		default:
-		}
-		s.connMu.Lock()
-		s.conns[conn] = struct{}{}
-		s.connMu.Unlock()
-		s.inflight.Add(1)
-		go s.handleConn(conn)
-	}
-}
+// batchOpsPool recycles the engine-side copy of a write batch. A buffer
+// goes back as soon as WriteBatch returns — safe even when the engine call
+// was abandoned on timeout, because the engine copies lines into its own
+// sub-batch buffers at submit time.
+var batchOpsPool = sync.Pool{New: func() any {
+	s := make([]shard.WriteBatchOp, MaxBatchOps)
+	return &s
+}}
 
-func (s *Server) handleConn(conn net.Conn) {
-	defer func() {
-		s.connMu.Lock()
-		delete(s.conns, conn)
-		s.connMu.Unlock()
-		_ = conn.Close()
-		s.inflight.Done()
-	}()
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	var op [1]byte
-	for {
-		// Between frames the connection idles; poll the read with a short
-		// deadline so draining connections notice Shutdown promptly.
-		_ = conn.SetReadDeadline(time.Now().Add(500 * time.Millisecond))
-		if err := readFull(br, op[:]); err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				select {
-				case <-s.draining:
-					return
-				default:
-					continue
-				}
-			}
-			return // EOF or broken connection
-		}
-		// A frame has begun: finish it even while draining.
-		_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-		if !s.serveFrame(br, bw, op[0]) {
-			return
-		}
-		if bw.Flush() != nil {
-			return
-		}
-	}
-}
-
-// frameTrace builds the request's trace context: a traced frame adopts
-// the wire-propagated ID (the cluster router minted it at the fleet
-// edge), an untraced one mints a fresh node-local ID.
-func (s *Server) frameTrace(traced bool, trace uint64) telemetry.TraceCtx {
+// trace builds the request's trace context: a wire ID (the cluster router
+// minted it at the fleet edge) is adopted, 0 mints a node-local one.
+func (n nodeBackend) trace(wire uint64) telemetry.TraceCtx {
 	var tc telemetry.TraceCtx
-	if traced {
-		tc = s.eng.AdoptTrace(trace)
+	if wire != 0 {
+		tc = n.s.eng.AdoptTrace(wire)
 	} else {
-		tc = s.eng.NewTrace()
+		tc = n.s.eng.NewTrace()
 	}
 	tc.StartNs = time.Now().UnixNano()
 	return tc
 }
 
-// serveFrame reads the rest of one request frame and writes the response
-// frame to bw. It returns false when the connection should be dropped
-// (malformed frame).
-func (s *Server) serveFrame(br *bufio.Reader, bw *bufio.Writer, op byte) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
+func (n nodeBackend) ctx() (context.Context, context.CancelFunc) {
+	return context.WithTimeout(context.Background(), n.s.cfg.RequestTimeout)
+}
+
+func since(tc telemetry.TraceCtx) time.Duration { return time.Since(time.Unix(0, tc.StartNs)) }
+
+func (n nodeBackend) Write(trace, addr uint64, line ecc.Line) (BatchWriteResult, uint64) {
+	tc := n.trace(trace)
+	ctx, cancel := n.ctx()
+	out, err := n.s.eng.TryWriteTraced(ctx, addr, line, tc)
+	cancel()
+	n.s.noteRequest("tcp", "write", tc, addr, since(tc), err)
+	return writeResult(out, err), tc.TraceID
+}
+
+func (n nodeBackend) Read(trace, addr uint64) (BatchReadResult, uint64) {
+	tc := n.trace(trace)
+	ctx, cancel := n.ctx()
+	res, err := n.s.eng.TryReadTraced(ctx, addr, tc)
+	cancel()
+	n.s.noteRequest("tcp", "read", tc, addr, since(tc), err)
+	return readResult(res, err), tc.TraceID
+}
+
+func (n nodeBackend) WriteBatch(trace uint64, ops []BatchWriteOp, res []BatchWriteResult) uint64 {
+	tc := n.trace(trace)
+	opsp := batchOpsPool.Get().(*[]shard.WriteBatchOp)
+	defer batchOpsPool.Put(opsp)
+	sops := (*opsp)[:len(ops)]
+	for i := range ops {
+		sops[i].Addr, sops[i].Line = ops[i].Addr, ops[i].Line
+	}
+	ctx, cancel := n.ctx()
+	err := n.s.eng.TryWriteBatchTraced(ctx, sops, tc)
+	cancel()
+	n.s.noteBatch("tcp", "write-batch", tc, sops, nil, since(tc), err)
+	for i := range sops {
+		res[i] = writeResult(sops[i].Out, sops[i].Err)
+	}
+	return tc.TraceID
+}
+
+func (n nodeBackend) ReadBatch(trace uint64, addrs []uint64, res []BatchReadResult) uint64 {
+	tc := n.trace(trace)
+	ctx, cancel := n.ctx()
 	defer cancel()
-
-	// Version-1 preamble: traced data frames carry the trace ID before
-	// the version-0 body; 'H' negotiates the version. A server emulating
-	// a version-0 binary (DisableTracedFrames) treats all of them as
-	// unknown ops, exactly as the old code did.
-	traced := false
-	var trace uint64
-	switch op {
-	case OpHello, OpWriteTr, OpReadTr, OpWriteBatchTr, OpReadBatchTr:
-		if s.cfg.DisableTracedFrames {
-			return writeStatus(bw, StatusBadRequest)
+	var firstErr error
+	for i, a := range addrs {
+		r, err := n.s.eng.TryReadTraced(ctx, a, tc)
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
-		if op == OpHello {
-			var ver [1]byte
-			if readFull(br, ver[:]) != nil {
-				return false
-			}
-			var resp [2]byte
-			resp[0] = StatusOK
-			resp[1] = ProtoVersion
-			_, werr := bw.Write(resp[:])
-			return werr == nil
-		}
-		// Peek+Discard reads the preamble out of bufio's own buffer: no
-		// escaping scratch array, so tracing adds zero allocations here.
-		tb, err := br.Peek(traceLen)
-		if err != nil {
-			return false
-		}
-		trace = getU64(tb)
-		if _, err := br.Discard(traceLen); err != nil {
-			return false
-		}
-		traced = true
+		res[i] = readResult(r, err)
 	}
-
-	switch op {
-	case OpWrite, OpWriteTr:
-		var req [writeReqLen]byte
-		if readFull(br, req[:]) != nil {
-			return false
-		}
-		var line ecc.Line
-		copy(line[:], req[8:])
-		addr := getU64(req[:8])
-		tc := s.frameTrace(traced, trace)
-		out, err := s.eng.TryWriteTraced(ctx, addr, line, tc)
-		s.noteRequest("tcp", "write", tc, addr, time.Since(time.Unix(0, tc.StartNs)), err)
-		if err != nil {
-			return writeStatus(bw, errStatus(err))
-		}
-		// Response frames are fixed-size: build them in stack arrays so the
-		// per-frame path allocates nothing (bufio.Writer.Write copies).
-		var resp [1 + 1 + 8 + 8 + traceLen]byte
-		resp[0] = StatusOK
-		if out.Deduplicated {
-			resp[1] = 1
-		}
-		putU64(resp[2:], out.PhysAddr)
-		putU64(resp[10:], uint64(out.Breakdown.Total().Nanoseconds()))
-		n := 1 + 1 + 8 + 8
-		if traced {
-			putU64(resp[n:], tc.TraceID)
-			n += traceLen
-		}
-		_, werr := bw.Write(resp[:n])
-		return werr == nil
-	case OpRead, OpReadTr:
-		var req [readReqLen]byte
-		if readFull(br, req[:]) != nil {
-			return false
-		}
-		addr := getU64(req[:])
-		tc := s.frameTrace(traced, trace)
-		res, err := s.eng.TryReadTraced(ctx, addr, tc)
-		s.noteRequest("tcp", "read", tc, addr, time.Since(time.Unix(0, tc.StartNs)), err)
-		if err != nil {
-			return writeStatus(bw, errStatus(err))
-		}
-		var resp [1 + 1 + ecc.LineSize + 8 + traceLen]byte
-		resp[0] = StatusOK
-		if res.Hit {
-			resp[1] = 1
-		}
-		copy(resp[2:], res.Data[:])
-		putU64(resp[2+ecc.LineSize:], uint64(res.Lat.Nanoseconds()))
-		n := 1 + 1 + ecc.LineSize + 8
-		if traced {
-			putU64(resp[n:], tc.TraceID)
-			n += traceLen
-		}
-		_, werr := bw.Write(resp[:n])
-		return werr == nil
-	case OpWriteBatch, OpWriteBatchTr:
-		var cnt [2]byte
-		if readFull(br, cnt[:]) != nil {
-			return false
-		}
-		n := int(binary.LittleEndian.Uint16(cnt[:]))
-		if n > MaxBatchOps {
-			// Oversized counts are malformed, not flow control: reject the
-			// frame and drop the connection (the body was never read, so
-			// the stream position is unknown). Flush so the client sees the
-			// status before the close.
-			writeStatus(bw, StatusBadRequest)
-			_ = bw.Flush()
-			return false
-		}
-		if n == 0 {
-			return writeBatchHead(bw, 0, traced, trace)
-		}
-		opsp := batchOpsPool.Get().(*[]shard.WriteBatchOp)
-		defer batchOpsPool.Put(opsp)
-		ops := (*opsp)[:n]
-		var req [writeReqLen]byte
-		for i := 0; i < n; i++ {
-			if readFull(br, req[:]) != nil {
-				return false
-			}
-			ops[i].Addr = getU64(req[:8])
-			copy(ops[i].Line[:], req[8:])
-		}
-		tc := s.frameTrace(traced, trace)
-		err := s.eng.TryWriteBatchTraced(ctx, ops, tc)
-		s.noteBatch("tcp", "write-batch", tc, ops, nil, time.Since(time.Unix(0, tc.StartNs)), err)
-		if !writeBatchHead(bw, n, traced, tc.TraceID) {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			var rec [writeBatchRecLen]byte
-			if ops[i].Err != nil {
-				rec[0] = errStatus(ops[i].Err)
-			} else {
-				rec[0] = StatusOK
-				if ops[i].Out.Deduplicated {
-					rec[1] = 1
-				}
-				putU64(rec[2:], ops[i].Out.PhysAddr)
-				putU64(rec[10:], uint64(ops[i].Out.Breakdown.Total().Nanoseconds()))
-			}
-			if _, err := bw.Write(rec[:]); err != nil {
-				return false
-			}
-		}
-		return true
-	case OpReadBatch, OpReadBatchTr:
-		var cnt [2]byte
-		if readFull(br, cnt[:]) != nil {
-			return false
-		}
-		n := int(binary.LittleEndian.Uint16(cnt[:]))
-		if n > MaxBatchOps {
-			writeStatus(bw, StatusBadRequest)
-			_ = bw.Flush()
-			return false
-		}
-		if n == 0 {
-			return writeBatchHead(bw, 0, traced, trace)
-		}
-		addrsp := batchAddrsPool.Get().(*[]uint64)
-		defer batchAddrsPool.Put(addrsp)
-		addrs := (*addrsp)[:n]
-		var req [readReqLen]byte
-		for i := 0; i < n; i++ {
-			if readFull(br, req[:]) != nil {
-				return false
-			}
-			addrs[i] = getU64(req[:])
-		}
-		tc := s.frameTrace(traced, trace)
-		if !writeBatchHead(bw, n, traced, tc.TraceID) {
-			return false
-		}
-		var firstErr error
-		for i := 0; i < n; i++ {
-			var rec [readBatchRecLen]byte
-			res, err := s.eng.TryReadTraced(ctx, addrs[i], tc)
-			if err != nil {
-				rec[0] = errStatus(err)
-				if firstErr == nil {
-					firstErr = err
-				}
-			} else {
-				rec[0] = StatusOK
-				if res.Hit {
-					rec[1] = 1
-				}
-				copy(rec[2:], res.Data[:])
-				putU64(rec[2+ecc.LineSize:], uint64(res.Lat.Nanoseconds()))
-			}
-			if _, err := bw.Write(rec[:]); err != nil {
-				return false
-			}
-		}
-		s.noteBatch("tcp", "read-batch", tc, nil, addrs, time.Since(time.Unix(0, tc.StartNs)), firstErr)
-		return true
-	case OpFlush:
-		if err := s.eng.Flush(); err != nil {
-			return writeStatus(bw, errStatus(err))
-		}
-		return writeStatus(bw, StatusOK)
-	case OpStats:
-		sum, err := s.eng.Summary()
-		if err != nil {
-			return writeStatus(bw, errStatus(err))
-		}
-		payload, err := json.Marshal(statsFrom(s.eng, sum))
-		if err != nil {
-			return writeStatus(bw, StatusBadRequest)
-		}
-		var head [5]byte
-		head[0] = StatusOK
-		head[1] = byte(len(payload))
-		head[2] = byte(len(payload) >> 8)
-		head[3] = byte(len(payload) >> 16)
-		head[4] = byte(len(payload) >> 24)
-		if _, err := bw.Write(head[:]); err != nil {
-			return false
-		}
-		_, werr := bw.Write(payload)
-		return werr == nil
-	default:
-		return writeStatus(bw, StatusBadRequest)
-	}
+	n.s.noteBatch("tcp", "read-batch", tc, nil, addrs, since(tc), firstErr)
+	return tc.TraceID
 }
 
-// writeBatchHead emits a batch response head: status, count, and — for
-// traced frames — the echoed trace ID.
-func writeBatchHead(bw *bufio.Writer, n int, traced bool, trace uint64) bool {
-	var head [3 + traceLen]byte
-	head[0] = StatusOK
-	binary.LittleEndian.PutUint16(head[1:], uint16(n))
-	k := 3
-	if traced {
-		putU64(head[k:], trace)
-		k += traceLen
+func (n nodeBackend) Flush() error { return n.s.eng.Flush() }
+
+func (n nodeBackend) Stats() (StatsResponse, error) {
+	sum, err := n.s.eng.Summary()
+	if err != nil {
+		return StatsResponse{}, err
 	}
-	_, err := bw.Write(head[:k])
-	return err == nil
+	return statsFrom(n.s.eng, sum), nil
 }
 
-func writeStatus(bw *bufio.Writer, st byte) bool {
-	return bw.WriteByte(st) == nil
+func writeResult(out memctrl.WriteOutcome, err error) BatchWriteResult {
+	if err != nil {
+		return BatchWriteResult{Err: err}
+	}
+	return BatchWriteResult{Dedup: out.Deduplicated, PhysAddr: out.PhysAddr, LatencyNs: out.Breakdown.Total().Nanoseconds()}
 }
 
-// errStatus maps engine errors to protocol statuses (mirror of mapErr).
-func errStatus(err error) byte {
-	switch {
-	case errors.Is(err, shard.ErrOverloaded):
-		return StatusOverloaded
-	case errors.Is(err, context.DeadlineExceeded):
-		return StatusTimeout
-	case errors.Is(err, shard.ErrClosed):
-		return StatusClosing
-	default:
-		return StatusBadRequest
+func readResult(r shard.ReadResult, err error) BatchReadResult {
+	if err != nil {
+		return BatchReadResult{Err: err}
 	}
+	return BatchReadResult{Hit: r.Hit, Data: r.Data, LatencyNs: r.Lat.Nanoseconds()}
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -18,147 +17,6 @@ func dialTest(t *testing.T, s *Server) *TCPClient {
 	}
 	t.Cleanup(func() { _ = c.Close() })
 	return c
-}
-
-func TestTCPHello(t *testing.T) {
-	_, s := testServer(t, shard.Options{Shards: 2}, Config{TCPAddr: "x"})
-	c := dialTest(t, s)
-	ver, err := c.Hello()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ver != ProtoVersion {
-		t.Fatalf("hello version = %d, want %d", ver, ProtoVersion)
-	}
-}
-
-// A traced frame must adopt the wire trace ID: the response echoes it and
-// the shard flight recorder holds it — the node-side halves of cross-
-// cluster correlation.
-func TestTCPTracedRoundTrip(t *testing.T) {
-	e, s := testServer(t, shard.Options{Shards: 2}, Config{TCPAddr: "x"})
-	c := dialTest(t, s)
-
-	const trace uint64 = 0xDEADBEEF12345678
-	w, err := c.WriteTraced(trace, 100, line(42, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Trace != trace {
-		t.Fatalf("write echoed trace %#x, want %#x", w.Trace, trace)
-	}
-	if w.LatencyNs <= 0 {
-		t.Fatalf("write latency %v, want > 0", w.LatencyNs)
-	}
-	r, err := c.ReadTraced(trace+1, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Hit || r.Trace != trace+1 {
-		t.Fatalf("read hit=%v trace=%#x, want hit with trace %#x", r.Hit, r.Trace, trace+1)
-	}
-
-	// The adopted ID must land in the shard flight recorder, not a fresh
-	// node-local one.
-	found := false
-	for _, rec := range e.FlightRecords() {
-		if rec.Trace == trace {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Fatalf("trace %#x not found in flight recorder", trace)
-	}
-
-	// Untraced frames on the same connection still mint local IDs.
-	w2, err := c.Write(200, line(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w2.Trace != 0 {
-		t.Fatalf("untraced write response carries trace %#x", w2.Trace)
-	}
-}
-
-func TestTCPTracedBatch(t *testing.T) {
-	e, s := testServer(t, shard.Options{Shards: 2}, Config{TCPAddr: "x"})
-	c := dialTest(t, s)
-
-	const trace = 0xA11CE
-	ops := []BatchWriteOp{
-		{Addr: 10, Line: line(1)},
-		{Addr: 11, Line: line(2)},
-		{Addr: 12, Line: line(1)}, // same content+shard as addr 10 → dedup
-	}
-	res := make([]BatchWriteResult, len(ops))
-	echo, err := c.WriteBatchTraced(trace, ops, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if echo != trace {
-		t.Fatalf("write batch echoed trace %#x, want %#x", echo, trace)
-	}
-	for i := range res {
-		if res[i].Err != nil {
-			t.Fatalf("op %d: %v", i, res[i].Err)
-		}
-	}
-	if !res[2].Dedup {
-		t.Fatal("duplicate content in traced batch not deduplicated")
-	}
-
-	rres := make([]BatchReadResult, 2)
-	echo, err = c.ReadBatchTraced(trace+1, []uint64{10, 11}, rres)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if echo != trace+1 {
-		t.Fatalf("read batch echoed trace %#x, want %#x", echo, trace+1)
-	}
-	if !rres[0].Hit || rres[0].Data != line(1) {
-		t.Fatalf("batched traced read returned %+v", rres[0])
-	}
-	found := false
-	for _, rec := range e.FlightRecords() {
-		if rec.Trace == trace {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Fatalf("batch trace %#x not found in flight recorder", trace)
-	}
-}
-
-// DisableTracedFrames must reproduce version-0 behavior bit-for-bit: the
-// hello probe comes back StatusBadRequest (surfaced as ErrLegacyProto) and
-// version-0 frames keep working on a fresh connection.
-func TestTCPLegacyFramesMode(t *testing.T) {
-	_, s := testServer(t, shard.Options{Shards: 2}, Config{TCPAddr: "x", DisableTracedFrames: true})
-
-	c := dialTest(t, s)
-	if _, err := c.Hello(); !errors.Is(err, ErrLegacyProto) {
-		t.Fatalf("hello against legacy server = %v, want ErrLegacyProto", err)
-	}
-	// The probed connection has a junk status byte queued (the server
-	// answered the hello body byte as a second unknown op) — per the
-	// protocol contract the prober discards it and dials fresh.
-	c2 := dialTest(t, s)
-	w, err := c2.Write(100, line(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Dedup {
-		t.Fatal("first write reported dedup")
-	}
-	r, err := c2.Read(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Hit {
-		t.Fatal("read miss after write on legacy-mode server")
-	}
 }
 
 func TestAdoptTrace(t *testing.T) {
