@@ -34,39 +34,13 @@ func writeBody(addr uint64) []byte {
 func u16(n int) []byte    { return binary.LittleEndian.AppendUint16(nil, uint16(n)) }
 func u64(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
 
-// FuzzFrame throws arbitrary byte streams at the shared frame loop — the
-// parse/dispatch/encode path a hostile client can reach on a node and, as
-// the same code serves it, on the cluster router. Malformed frames must
-// produce an error status or drop the connection: never a panic, never a
-// hang.
-func FuzzFrame(f *testing.F) {
-	for _, seed := range [][]byte{
-		// Every op, well formed, traced and minting.
-		frame(OpWrite, 0, writeBody(7)),
-		frame(OpRead, 0xABCD, u64(7)),
-		frame(OpWriteBatch, 0, u16(3), writeBody(1), writeBody(2), writeBody(1)),
-		frame(OpReadBatch, 9, u16(2), u64(1), u64(2)),
-		frame(OpFlush, 0),
-		frame(OpStats, 0),
-		// Zero-count batches, then a bursty stream of frames.
-		frame(OpWriteBatch, 0, u16(0)),
-		append(frame(OpReadBatch, 0, u16(0)), bytes.Repeat([]byte{OpFlush}, 16)...),
-		// Truncated: mid-trace, mid-body, mid-count, mid-batch.
-		{OpWrite, 0x01, 0x02},
-		frame(OpRead, 0),
-		frame(OpWrite, 0, writeBody(1)[:20]),
-		frame(OpWriteBatch, 0, []byte{0x05}),
-		frame(OpWriteBatch, 0, u16(2), []byte{0xAA}),
-		frame(OpReadBatch, 0, u16(2), []byte{1, 2, 3}),
-		append(frame(OpReadBatch, 0, u16(1), u64(0)), frame(OpWriteBatch, 0, u16(1))...),
-		// Oversized counts.
-		frame(OpWriteBatch, 0, u16(0xFFFF)),
-		frame(OpReadBatch, 0, u16(MaxBatchOps+1)),
-		// Unknown ops, alone and ahead of a valid frame.
-		{0xFF, 0x00, 0x01},
-		append([]byte{0x00}, frame(OpWrite, 0, writeBody(1))...),
-		{'H', 1},
-	} {
+// fuzzFrames runs the shared frame loop — the parse/dispatch/encode path a
+// hostile client can reach on a node and, as the same code serves it, on
+// the cluster router — over arbitrary byte streams seeded with seeds.
+// Malformed frames must produce an error status or drop the connection:
+// never a panic, never a hang.
+func fuzzFrames(f *testing.F, seeds ...[]byte) {
+	for _, seed := range seeds {
 		f.Add(seed)
 	}
 
@@ -90,4 +64,45 @@ func FuzzFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzTCPFrame seeds the frame loop with the scalar ops: every op well
+// formed, truncated frames, unknown ops and the deleted hello op.
+func FuzzTCPFrame(f *testing.F) {
+	fuzzFrames(f,
+		// Every scalar op, well formed, traced and minting.
+		frame(OpWrite, 0, writeBody(7)),
+		frame(OpRead, 0xABCD, u64(7)),
+		frame(OpFlush, 0),
+		frame(OpStats, 0),
+		// Truncated: mid-trace, mid-body.
+		[]byte{OpWrite, 0x01, 0x02},
+		frame(OpRead, 0),
+		frame(OpWrite, 0, writeBody(1)[:20]),
+		// Unknown ops, alone and ahead of a valid frame.
+		[]byte{0xFF, 0x00, 0x01},
+		append([]byte{0x00}, frame(OpWrite, 0, writeBody(1))...),
+		[]byte{'H', 1},
+	)
+}
+
+// FuzzTCPFrameBatch seeds the frame loop with the batch ops: well-formed
+// and zero-count batches, truncated counts and bodies, and oversized counts.
+func FuzzTCPFrameBatch(f *testing.F) {
+	fuzzFrames(f,
+		// Both batch ops, well formed, traced and minting.
+		frame(OpWriteBatch, 0, u16(3), writeBody(1), writeBody(2), writeBody(1)),
+		frame(OpReadBatch, 9, u16(2), u64(1), u64(2)),
+		// Zero-count batches, then a bursty stream of frames.
+		frame(OpWriteBatch, 0, u16(0)),
+		append(frame(OpReadBatch, 0, u16(0)), bytes.Repeat([]byte{OpFlush}, 16)...),
+		// Truncated: mid-count, mid-batch.
+		frame(OpWriteBatch, 0, []byte{0x05}),
+		frame(OpWriteBatch, 0, u16(2), []byte{0xAA}),
+		frame(OpReadBatch, 0, u16(2), []byte{1, 2, 3}),
+		append(frame(OpReadBatch, 0, u16(1), u64(0)), frame(OpWriteBatch, 0, u16(1))...),
+		// Oversized counts.
+		frame(OpWriteBatch, 0, u16(0xFFFF)),
+		frame(OpReadBatch, 0, u16(MaxBatchOps+1)),
+	)
 }
