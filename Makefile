@@ -103,13 +103,10 @@ check-cluster:
 fuzz-smoke:
 	sh scripts/fuzz_smoke.sh
 
+# Runs every directory under examples/, so a public-API change that
+# breaks any example fails.
 examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/endurance
-	$(GO) run ./examples/taillatency
-	$(GO) run ./examples/kvstore
-	$(GO) run ./examples/observability
-	$(GO) run ./examples/flightrecorder
+	set -e; for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d; done
 
 clean:
 	rm -rf results/ test_output.txt bench_output.txt

@@ -528,10 +528,6 @@ func (s *System) ServeMetrics(addr string, enablePprof bool) (*MetricsServer, er
 // kind and outcome, and (for writes) the per-stage latency decomposition.
 type FlightRecord = telemetry.FlightRecord
 
-// TraceCtx is the request-scoped trace context threaded through the write
-// and read paths; the zero value means "untraced".
-type TraceCtx = telemetry.TraceCtx
-
 // FlightRecords snapshots the flight-recorder ring, oldest first. It
 // returns nil unless the System was built with WithFlightRecorder. Safe to
 // call from any goroutine (the ring is read with atomic snapshots).
@@ -668,16 +664,6 @@ func WithWriteCoalescing() ShardOption {
 	return func(o *shard.Options) { o.Coalesce = true }
 }
 
-// WithBatchKernels routes runs of consecutive writes in each drained
-// shard batch through the schemes' batched write path: ECC fingerprints
-// and AES pads are computed in batched passes instead of per line. Dedup
-// decisions, placements, counters and statistics are identical to the
-// scalar path; per-op latencies can differ (deferred device writes
-// observe different bank-queue states). Off by default.
-func WithBatchKernels() ShardOption {
-	return func(o *shard.Options) { o.BatchKernels = true }
-}
-
 // WithShardMetrics enables per-shard telemetry sinks on one shared
 // registry; every metric carries a shard="i" label. See
 // ShardedSystem.WriteMetrics.
@@ -744,7 +730,7 @@ func (s *ShardedSystem) Write(addr uint64, line Line) (WriteOutcome, error) {
 // and a deadline (ctx expiring while queued abandons the wait; the shard
 // still executes the write).
 func (s *ShardedSystem) TryWrite(ctx context.Context, addr uint64, line Line) (WriteOutcome, error) {
-	return s.eng.TryWrite(ctx, addr, line)
+	return s.eng.TryWrite(ctx, addr, line, telemetry.TraceCtx{})
 }
 
 // WriteBatch stores every op in one call: ops are grouped by owning
@@ -760,13 +746,7 @@ func (s *ShardedSystem) WriteBatch(ops []WriteBatchOp) error {
 // a full shard fail individually with ErrOverloaded, and ctx expiring
 // mid-flight abandons the wait (the shards still execute the writes).
 func (s *ShardedSystem) TryWriteBatch(ctx context.Context, ops []WriteBatchOp) error {
-	return s.eng.TryWriteBatch(ctx, ops)
-}
-
-// TryWriteBatchTraced is TryWriteBatch carrying an explicit trace
-// context shared by every op of the batch.
-func (s *ShardedSystem) TryWriteBatchTraced(ctx context.Context, ops []WriteBatchOp, tc TraceCtx) error {
-	return s.eng.TryWriteBatchTraced(ctx, ops, tc)
+	return s.eng.TryWriteBatch(ctx, ops, telemetry.TraceCtx{})
 }
 
 // Read fetches the plaintext line at a logical address (blocking).
@@ -776,7 +756,7 @@ func (s *ShardedSystem) Read(addr uint64) (ReadResult, error) {
 
 // TryRead is Read with load shedding and a deadline (see TryWrite).
 func (s *ShardedSystem) TryRead(ctx context.Context, addr uint64) (ReadResult, error) {
-	return s.eng.TryRead(ctx, addr)
+	return s.eng.TryRead(ctx, addr, telemetry.TraceCtx{})
 }
 
 // Flush is a full barrier: every request enqueued before the call has
@@ -822,21 +802,6 @@ func (s *ShardedSystem) HybridStats() (HybridStats, bool) { return s.eng.HybridS
 // after every drained batch. Unlike Summary it is barrier-free — the
 // result trails the live state by at most one batch per shard.
 func (s *ShardedSystem) LiveStats() SchemeStats { return s.eng.LiveSchemeStats() }
-
-// NewTrace allocates a fresh request-scoped trace context. Pass it to
-// TryWriteTraced/TryReadTraced so the request's flight-recorder entries
-// and slow-request log lines share one id.
-func (s *ShardedSystem) NewTrace() TraceCtx { return s.eng.NewTrace() }
-
-// TryWriteTraced is TryWrite carrying an explicit trace context.
-func (s *ShardedSystem) TryWriteTraced(ctx context.Context, addr uint64, line Line, tc TraceCtx) (WriteOutcome, error) {
-	return s.eng.TryWriteTraced(ctx, addr, line, tc)
-}
-
-// TryReadTraced is TryRead carrying an explicit trace context.
-func (s *ShardedSystem) TryReadTraced(ctx context.Context, addr uint64, tc TraceCtx) (ReadResult, error) {
-	return s.eng.TryReadTraced(ctx, addr, tc)
-}
 
 // FlightRecords merges every shard's flight-recorder ring into one slice
 // (oldest first within each shard). The rings are always on; this is safe

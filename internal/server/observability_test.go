@@ -352,7 +352,7 @@ func TestFlightRecorderDumpDecodable(t *testing.T) {
 	// it, so it must still appear in (and not corrupt) the black box.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _ = eng.TryWriteTraced(ctx, 50, line(50), eng.NewTrace())
+	_, _ = eng.TryWrite(ctx, 50, line(50), eng.NewTrace())
 	if err := eng.Flush(); err != nil {
 		t.Fatal(err)
 	}

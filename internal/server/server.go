@@ -516,10 +516,9 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
 	copy(line[:], req.Data)
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	tc := s.eng.NewTrace()
-	tc.StartNs = time.Now().UnixNano()
-	out, err := s.eng.TryWriteTraced(ctx, req.Addr, line, tc)
-	s.noteRequest("http", "write", tc, req.Addr, time.Since(time.Unix(0, tc.StartNs)), err)
+	tc := s.trace(0)
+	out, err := s.eng.TryWrite(ctx, req.Addr, line, tc)
+	s.noteRequest("http", "write", tc, req.Addr, since(tc), err)
 	if err != nil {
 		s.mapErr(w, err)
 		return
@@ -541,10 +540,9 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	tc := s.eng.NewTrace()
-	tc.StartNs = time.Now().UnixNano()
-	res, err := s.eng.TryReadTraced(ctx, addr, tc)
-	s.noteRequest("http", "read", tc, addr, time.Since(time.Unix(0, tc.StartNs)), err)
+	tc := s.trace(0)
+	res, err := s.eng.TryRead(ctx, addr, tc)
+	s.noteRequest("http", "read", tc, addr, since(tc), err)
 	if err != nil {
 		s.mapErr(w, err)
 		return

@@ -24,14 +24,15 @@ var batchOpsPool = sync.Pool{New: func() any {
 	return &s
 }}
 
-// trace builds the request's trace context: a wire ID (the cluster router
-// minted it at the fleet edge) is adopted, 0 mints a node-local one.
-func (n nodeBackend) trace(wire uint64) telemetry.TraceCtx {
+// trace builds a request's trace context, stamped with its wall-clock
+// start: a wire ID (the cluster router minted it at the fleet edge) is
+// adopted, 0 mints a node-local one. Frame and HTTP requests share it.
+func (s *Server) trace(wire uint64) telemetry.TraceCtx {
 	var tc telemetry.TraceCtx
 	if wire != 0 {
-		tc = n.s.eng.AdoptTrace(wire)
+		tc = s.eng.AdoptTrace(wire)
 	} else {
-		tc = n.s.eng.NewTrace()
+		tc = s.eng.NewTrace()
 	}
 	tc.StartNs = time.Now().UnixNano()
 	return tc
@@ -44,25 +45,25 @@ func (n nodeBackend) ctx() (context.Context, context.CancelFunc) {
 func since(tc telemetry.TraceCtx) time.Duration { return time.Since(time.Unix(0, tc.StartNs)) }
 
 func (n nodeBackend) Write(trace, addr uint64, line ecc.Line) (BatchWriteResult, uint64) {
-	tc := n.trace(trace)
+	tc := n.s.trace(trace)
 	ctx, cancel := n.ctx()
-	out, err := n.s.eng.TryWriteTraced(ctx, addr, line, tc)
+	out, err := n.s.eng.TryWrite(ctx, addr, line, tc)
 	cancel()
 	n.s.noteRequest("tcp", "write", tc, addr, since(tc), err)
 	return writeResult(out, err), tc.TraceID
 }
 
 func (n nodeBackend) Read(trace, addr uint64) (BatchReadResult, uint64) {
-	tc := n.trace(trace)
+	tc := n.s.trace(trace)
 	ctx, cancel := n.ctx()
-	res, err := n.s.eng.TryReadTraced(ctx, addr, tc)
+	res, err := n.s.eng.TryRead(ctx, addr, tc)
 	cancel()
 	n.s.noteRequest("tcp", "read", tc, addr, since(tc), err)
 	return readResult(res, err), tc.TraceID
 }
 
 func (n nodeBackend) WriteBatch(trace uint64, ops []BatchWriteOp, res []BatchWriteResult) uint64 {
-	tc := n.trace(trace)
+	tc := n.s.trace(trace)
 	opsp := batchOpsPool.Get().(*[]shard.WriteBatchOp)
 	defer batchOpsPool.Put(opsp)
 	sops := (*opsp)[:len(ops)]
@@ -70,7 +71,7 @@ func (n nodeBackend) WriteBatch(trace uint64, ops []BatchWriteOp, res []BatchWri
 		sops[i].Addr, sops[i].Line = ops[i].Addr, ops[i].Line
 	}
 	ctx, cancel := n.ctx()
-	err := n.s.eng.TryWriteBatchTraced(ctx, sops, tc)
+	err := n.s.eng.TryWriteBatch(ctx, sops, tc)
 	cancel()
 	n.s.noteBatch("tcp", "write-batch", tc, sops, nil, since(tc), err)
 	for i := range sops {
@@ -80,12 +81,12 @@ func (n nodeBackend) WriteBatch(trace uint64, ops []BatchWriteOp, res []BatchWri
 }
 
 func (n nodeBackend) ReadBatch(trace uint64, addrs []uint64, res []BatchReadResult) uint64 {
-	tc := n.trace(trace)
+	tc := n.s.trace(trace)
 	ctx, cancel := n.ctx()
 	defer cancel()
 	var firstErr error
 	for i, a := range addrs {
-		r, err := n.s.eng.TryReadTraced(ctx, a, tc)
+		r, err := n.s.eng.TryRead(ctx, a, tc)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}

@@ -79,30 +79,22 @@ var batchPlanPool = sync.Pool{New: func() any { return new(batchPlan) }}
 // executed. Per-op results are written into ops; ErrClosed is reflected
 // both per op and as the return value.
 func (e *Engine) WriteBatch(ops []WriteBatchOp) error {
-	return e.writeBatch(nil, ops, telemetry.TraceCtx{})
+	return e.writeBatch(context.Background(), ops, telemetry.TraceCtx{}, true)
 }
 
-// TryWriteBatch is WriteBatch with load shedding and a deadline (see
-// TryWriteBatchTraced).
-func (e *Engine) TryWriteBatch(ctx context.Context, ops []WriteBatchOp) error {
-	return e.writeBatch(ctx, ops, telemetry.TraceCtx{})
+// TryWriteBatch is WriteBatch with shedding and a deadline: ops owned by
+// a shard whose queue is full fail individually with ErrOverloaded (the
+// rest proceed), and ctx expiring while sub-batches are in flight abandons
+// the wait — the shards still execute the writes; the abandoned ops report
+// the context error. A nil ctx means no deadline. tc tags every op of the
+// batch with one shared trace context (zero means untraced).
+func (e *Engine) TryWriteBatch(ctx context.Context, ops []WriteBatchOp, tc telemetry.TraceCtx) error {
+	return e.writeBatch(tryCtx(ctx), ops, tc, false)
 }
 
-// TryWriteBatchTraced is WriteBatch with shedding and a deadline: ops
-// owned by a shard whose queue is full fail individually with
-// ErrOverloaded (the rest proceed), and ctx expiring while sub-batches
-// are in flight abandons the wait — the shards still execute the writes;
-// the abandoned ops report the context error. tc tags every op of the
-// batch with one shared trace context.
-func (e *Engine) TryWriteBatchTraced(ctx context.Context, ops []WriteBatchOp, tc telemetry.TraceCtx) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return e.writeBatch(ctx, ops, tc)
-}
-
-// writeBatch is the shared implementation; a nil ctx means block.
-func (e *Engine) writeBatch(ctx context.Context, ops []WriteBatchOp, tc telemetry.TraceCtx) error {
+// writeBatch is the shared implementation; block selects backpressure
+// over shedding on a full queue, as in call.
+func (e *Engine) writeBatch(ctx context.Context, ops []WriteBatchOp, tc telemetry.TraceCtx, block bool) error {
 	if len(ops) == 0 {
 		return nil
 	}
@@ -112,7 +104,6 @@ func (e *Engine) writeBatch(ctx context.Context, ops []WriteBatchOp, tc telemetr
 	}
 	p.subs = p.subs[:len(e.shards)]
 
-	blocking := ctx == nil
 	for i := range ops {
 		sh := e.ShardOf(ops[i].Addr)
 		sb := p.subs[sh]
@@ -122,7 +113,7 @@ func (e *Engine) writeBatch(ctx context.Context, ops []WriteBatchOp, tc telemetr
 			p.used = append(p.used, sh)
 		}
 		sb.ops = append(sb.ops, memctrl.BatchWrite{Logical: e.localAddr(ops[i].Addr)})
-		if !blocking {
+		if !block {
 			sb.lines = append(sb.lines, ops[i].Line)
 		}
 		sb.slots = append(sb.slots, i)
@@ -138,14 +129,14 @@ func (e *Engine) writeBatch(ctx context.Context, ops []WriteBatchOp, tc telemetr
 	for _, sh := range p.used {
 		sb := p.subs[sh]
 		for k := range sb.ops {
-			if blocking {
+			if block {
 				sb.ops[k].Data = &ops[sb.slots[k]].Line
 			} else {
 				sb.ops[k].Data = &sb.lines[k]
 			}
 		}
 		ch := getRespChan()
-		if err := e.submit(sh, request{kind: kWriteBatch, tc: tc, batch: sb, done: ch}, ctx == nil); err != nil {
+		if err := e.submit(sh, request{kind: kWriteBatch, tc: tc, batch: sb, done: ch}, block); err != nil {
 			putRespChan(ch)
 			for _, slot := range sb.slots {
 				ops[slot].Err = err
@@ -163,10 +154,6 @@ func (e *Engine) writeBatch(ctx context.Context, ops []WriteBatchOp, tc telemetr
 		nsub++
 	}
 
-	var ctxDone <-chan struct{}
-	if ctx != nil {
-		ctxDone = ctx.Done()
-	}
 	abandoned := false
 	for j := 0; j < nsub; j++ {
 		sh, ch := p.used[j], p.chans[j]
@@ -183,7 +170,7 @@ func (e *Engine) writeBatch(ctx context.Context, ops []WriteBatchOp, tc telemetr
 				sb.reset()
 				subBatchPool.Put(sb)
 				continue
-			case <-ctxDone:
+			case <-ctx.Done():
 				abandoned = true
 				if firstErr == nil {
 					firstErr = ctx.Err()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/esdsim/esd/internal/telemetry"
 	"github.com/esdsim/esd/internal/xrand"
 )
 
@@ -100,22 +101,25 @@ func TestWriteBatchMatchesScalarEngine(t *testing.T) {
 	}
 }
 
-// TestBatchKernelsMatchesScalar replays the same async write stream
-// through a default engine and a BatchKernels engine: the drained-run
-// batched execution must preserve every dedup decision and statistic.
+// TestBatchKernelsMatchesScalar replays the same write stream through
+// deep-queue WriteAsync, so the workers drain multi-request batches
+// through the one batch executor, and through one blocking Write per op:
+// the drained execution must preserve every dedup decision and statistic.
 func TestBatchKernelsMatchesScalar(t *testing.T) {
-	run := func(batchKernels bool) (Summary, []ReadResult) {
-		e, err := New(testConfig(), "esd", Options{Shards: 4, BatchKernels: batchKernels})
+	run := func(async bool) (Summary, []ReadResult) {
+		e, err := New(testConfig(), "esd", Options{Shards: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer e.Close()
 		ops := batchStream(4000, 23)
-		// Async writes keep the queues deep enough that the workers drain
-		// multi-request batches, which is what routes runs through the
-		// batch kernels.
 		for i := range ops {
-			if err := e.WriteAsync(ops[i].Addr, ops[i].Line); err != nil {
+			if async {
+				err = e.WriteAsync(ops[i].Addr, ops[i].Line)
+			} else {
+				_, err = e.Write(ops[i].Addr, ops[i].Line)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -136,7 +140,7 @@ func TestBatchKernelsMatchesScalar(t *testing.T) {
 	ss, rs := run(false)
 	sb, rb := run(true)
 	if ss.Scheme != sb.Scheme {
-		t.Fatalf("scheme stats diverged:\nscalar %+v\nbatch  %+v", ss.Scheme, sb.Scheme)
+		t.Fatalf("scheme stats diverged:\nscalar  %+v\ndrained %+v", ss.Scheme, sb.Scheme)
 	}
 	for a := range rs {
 		if rs[a].Hit != rb[a].Hit || rs[a].Data != rb[a].Data {
@@ -184,7 +188,7 @@ func TestTryWriteBatchSheds(t *testing.T) {
 			e.WriteAsync(0, lineWith(uint64(i))) //nolint:errcheck
 		}
 		ops := batchStream(32, uint64(try))
-		if err := e.TryWriteBatch(ctx, ops); err != nil {
+		if err := e.TryWriteBatch(ctx, ops, telemetry.TraceCtx{}); err != nil {
 			t.Fatal(err)
 		}
 		for i := range ops {

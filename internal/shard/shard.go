@@ -62,14 +62,6 @@ type Options struct {
 	// never across an intervening read of that address, which pins every
 	// older write. Off by default because it changes dedup statistics.
 	Coalesce bool
-	// BatchKernels executes runs of consecutive writes in a drained batch
-	// through the scheme's batched write path (memctrl.WriteBatch):
-	// identical dedup decisions, placements, counters and statistics, but
-	// the pads of unique stores come from one batched AES pass and the
-	// device writes issue after the decisions, so per-op latencies can
-	// differ from the scalar path (deferred writes observe different
-	// bank-queue states). Off by default for exact scalar-path latencies.
-	BatchKernels bool
 	// IssueGap is the simulated time each shard's clock advances per
 	// request (default 10 ns), matching System.IssueGap.
 	IssueGap sim.Time
@@ -166,16 +158,15 @@ func New(cfg config.Config, scheme string, opts Options) (*Engine, error) {
 			return nil, fmt.Errorf("shard: %w", err)
 		}
 		s := &shard{
-			id:           i,
-			env:          env,
-			sch:          sch,
-			reqs:         make(chan request, opts.QueueDepth),
-			gap:          opts.IssueGap,
-			batch:        opts.Batch,
-			coalesce:     opts.Coalesce,
-			batchKernels: opts.BatchKernels,
-			interval:     sch.TickInterval(),
-			flight:       telemetry.NewFlightRecorder(opts.FlightSlots),
+			id:       i,
+			env:      env,
+			sch:      sch,
+			reqs:     make(chan request, opts.QueueDepth),
+			gap:      opts.IssueGap,
+			batch:    opts.Batch,
+			coalesce: opts.Coalesce,
+			interval: sch.TickInterval(),
+			flight:   telemetry.NewFlightRecorder(opts.FlightSlots),
 		}
 		if opts.Tracing {
 			s.stages = new(telemetry.StageHistograms)
@@ -213,7 +204,7 @@ func (e *Engine) Shed() uint64 { return e.shed.Load() }
 
 // NewTrace allocates the next request trace context (monotonic trace IDs,
 // span 1). The serving front end stamps every incoming request with one and
-// threads it through the Traced request variants.
+// threads it through the Try* methods.
 func (e *Engine) NewTrace() telemetry.TraceCtx {
 	return telemetry.TraceCtx{TraceID: e.trace.Add(1), Span: 1}
 }
@@ -232,10 +223,6 @@ func (e *Engine) TracingEnabled() bool { return e.opts.Tracing }
 
 // CoalesceEnabled reports whether write coalescing is on.
 func (e *Engine) CoalesceEnabled() bool { return e.opts.Coalesce }
-
-// BatchKernelsEnabled reports whether drained write runs execute through
-// the schemes' batched write path (Options.BatchKernels).
-func (e *Engine) BatchKernelsEnabled() bool { return e.opts.BatchKernels }
 
 // QueueCap returns the per-shard queue bound.
 func (e *Engine) QueueCap() int { return e.opts.QueueDepth }
@@ -326,19 +313,41 @@ func (e *Engine) submit(sh int, r request, block bool) error {
 	}
 }
 
+// call submits one scalar request to shard sh and waits for its
+// response. It is the only place a scalar request borrows a response
+// channel. With block a full queue applies backpressure; without it the
+// request sheds with ErrOverloaded. ctx expiring abandons only the wait:
+// the shard still executes the request and sends into done, so an
+// abandoned channel is never recycled.
+func (e *Engine) call(ctx context.Context, sh int, r request, block bool) (response, error) {
+	r.done = getRespChan()
+	if err := e.submit(sh, r, block); err != nil {
+		putRespChan(r.done)
+		return response{}, err
+	}
+	select {
+	case resp := <-r.done:
+		putRespChan(r.done)
+		return resp, nil
+	case <-ctx.Done():
+		return response{}, ctx.Err()
+	}
+}
+
+// tryCtx maps a Try* caller's nil ctx to "no deadline".
+func tryCtx(ctx context.Context) context.Context {
+	if ctx == nil {
+		return context.Background()
+	}
+	return ctx
+}
+
 // Write stores a 64-byte line at a logical line address, blocking while
 // the owning shard's queue is full (backpressure) and until the shard has
 // processed it.
 func (e *Engine) Write(addr uint64, line ecc.Line) (memctrl.WriteOutcome, error) {
-	done := getRespChan()
-	sh := e.ShardOf(addr)
-	if err := e.submit(sh, request{kind: kWrite, addr: e.localAddr(addr), line: line, done: done}, true); err != nil {
-		putRespChan(done)
-		return memctrl.WriteOutcome{}, err
-	}
-	resp := <-done
-	putRespChan(done)
-	return resp.write, nil
+	resp, err := e.call(context.Background(), e.ShardOf(addr), request{kind: kWrite, addr: e.localAddr(addr), line: line}, true)
+	return resp.write, err
 }
 
 // WriteAsync enqueues a write without waiting for its outcome (blocking
@@ -354,31 +363,14 @@ func (e *Engine) WriteAsync(addr uint64, line ecc.Line) error {
 // TryWrite is Write with shedding and a deadline: a full shard queue
 // fails immediately with ErrOverloaded, and a ctx expiring while the
 // request waits in queue abandons the wait (the shard still executes the
-// write; only the caller stops waiting).
-func (e *Engine) TryWrite(ctx context.Context, addr uint64, line ecc.Line) (memctrl.WriteOutcome, error) {
-	return e.TryWriteTraced(ctx, addr, line, telemetry.TraceCtx{})
-}
-
-// TryWriteTraced is TryWrite carrying a request trace context (from
-// NewTrace): the shard worker threads it into the scheme's telemetry hooks
-// and the flight recorder, so the write's stage events can be joined back
-// to the network request.
-func (e *Engine) TryWriteTraced(ctx context.Context, addr uint64, line ecc.Line, tc telemetry.TraceCtx) (memctrl.WriteOutcome, error) {
-	done := getRespChan()
-	sh := e.ShardOf(addr)
-	if err := e.submit(sh, request{kind: kWrite, addr: e.localAddr(addr), line: line, tc: tc, done: done}, false); err != nil {
-		putRespChan(done)
-		return memctrl.WriteOutcome{}, err
-	}
-	select {
-	case resp := <-done:
-		putRespChan(done)
-		return resp.write, nil
-	case <-ctx.Done():
-		// Abandoned: the shard still executes the write and sends into
-		// done, so the channel cannot be recycled.
-		return memctrl.WriteOutcome{}, ctx.Err()
-	}
+// write; only the caller stops waiting). A nil ctx means no deadline. tc
+// is the request's trace context (from NewTrace or AdoptTrace; zero means
+// untraced): the shard worker threads it into the scheme's telemetry
+// hooks and the flight recorder, so the write's stage events can be
+// joined back to the network request.
+func (e *Engine) TryWrite(ctx context.Context, addr uint64, line ecc.Line, tc telemetry.TraceCtx) (memctrl.WriteOutcome, error) {
+	resp, err := e.call(tryCtx(ctx), e.ShardOf(addr), request{kind: kWrite, addr: e.localAddr(addr), line: line, tc: tc}, false)
+	return resp.write, err
 }
 
 // ReadResult is a completed read: the plaintext line, whether the
@@ -391,39 +383,15 @@ type ReadResult struct {
 
 // Read fetches the plaintext line at a logical address (blocking).
 func (e *Engine) Read(addr uint64) (ReadResult, error) {
-	done := getRespChan()
-	sh := e.ShardOf(addr)
-	if err := e.submit(sh, request{kind: kRead, addr: e.localAddr(addr), done: done}, true); err != nil {
-		putRespChan(done)
-		return ReadResult{}, err
-	}
-	resp := <-done
-	putRespChan(done)
-	return ReadResult{Data: resp.read.Data, Hit: resp.read.Hit, Lat: resp.lat}, nil
+	resp, err := e.call(context.Background(), e.ShardOf(addr), request{kind: kRead, addr: e.localAddr(addr)}, true)
+	return ReadResult{Data: resp.read.Data, Hit: resp.read.Hit, Lat: resp.lat}, err
 }
 
-// TryRead is Read with shedding and a deadline (see TryWrite).
-func (e *Engine) TryRead(ctx context.Context, addr uint64) (ReadResult, error) {
-	return e.TryReadTraced(ctx, addr, telemetry.TraceCtx{})
-}
-
-// TryReadTraced is TryRead carrying a request trace context (see
-// TryWriteTraced).
-func (e *Engine) TryReadTraced(ctx context.Context, addr uint64, tc telemetry.TraceCtx) (ReadResult, error) {
-	done := getRespChan()
-	sh := e.ShardOf(addr)
-	if err := e.submit(sh, request{kind: kRead, addr: e.localAddr(addr), tc: tc, done: done}, false); err != nil {
-		putRespChan(done)
-		return ReadResult{}, err
-	}
-	select {
-	case resp := <-done:
-		putRespChan(done)
-		return ReadResult{Data: resp.read.Data, Hit: resp.read.Hit, Lat: resp.lat}, nil
-	case <-ctx.Done():
-		// Abandoned: the worker still sends into done (see TryWrite).
-		return ReadResult{}, ctx.Err()
-	}
+// TryRead is Read with shedding, a deadline and a trace context (see
+// TryWrite).
+func (e *Engine) TryRead(ctx context.Context, addr uint64, tc telemetry.TraceCtx) (ReadResult, error) {
+	resp, err := e.call(tryCtx(ctx), e.ShardOf(addr), request{kind: kRead, addr: e.localAddr(addr), tc: tc}, false)
+	return ReadResult{Data: resp.read.Data, Hit: resp.read.Hit, Lat: resp.lat}, err
 }
 
 // Flush is a full barrier: it waits until every request enqueued before

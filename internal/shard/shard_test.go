@@ -10,7 +10,9 @@ import (
 
 	"github.com/esdsim/esd/internal/config"
 	"github.com/esdsim/esd/internal/ecc"
+	"github.com/esdsim/esd/internal/memctrl"
 	"github.com/esdsim/esd/internal/sim"
+	"github.com/esdsim/esd/internal/telemetry"
 	"github.com/esdsim/esd/internal/trace"
 )
 
@@ -114,7 +116,7 @@ func TestConcurrentEngineRace(t *testing.T) {
 						return
 					}
 				default:
-					_, err := e.TryWrite(ctx, addr, lineWith(uint64(g), uint64(i%7)))
+					_, err := e.TryWrite(ctx, addr, lineWith(uint64(g), uint64(i%7)), telemetry.TraceCtx{})
 					if err != nil && !errors.Is(err, ErrOverloaded) {
 						t.Error(err)
 						return
@@ -176,7 +178,7 @@ func TestTryWriteShedsWhenQueueFull(t *testing.T) {
 			t.Fatalf("fill %d: %v", i, err)
 		}
 	}
-	if _, err := e.TryWrite(context.Background(), 9, ecc.Line{}); !errors.Is(err, ErrOverloaded) {
+	if _, err := e.TryWrite(context.Background(), 9, ecc.Line{}, telemetry.TraceCtx{}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("TryWrite on full queue: got %v, want ErrOverloaded", err)
 	}
 	if e.Shed() != 1 {
@@ -214,11 +216,22 @@ func TestCoalescingKeepsNewestAndRespectsReadBarrier(t *testing.T) {
 	}
 	// w(5)=old, w(5)=new   -> first coalesces into second
 	// w(9)=a, r(9), w(9)=b -> the read pins w(9)=a; nothing coalesces
+	// w(13)=p, batch{13=q}, w(13)=r -> the sub-batch is a barrier; nothing
+	// coalesces
 	first := sub(kWrite, 5, lineWith(1))
 	second := sub(kWrite, 5, lineWith(2))
 	sub(kWrite, 9, lineWith(7))
 	readCh := sub(kRead, 9, ecc.Line{})
 	sub(kWrite, 9, lineWith(8))
+	sub(kWrite, 13, lineWith(3))
+	q := lineWith(4)
+	batchCh := make(chan response, 1)
+	sb := &subBatch{ops: []memctrl.BatchWrite{{Logical: 13, Data: &q}}, lats: make([]sim.Time, 1)}
+	if err := e.submit(0, request{kind: kWriteBatch, batch: sb, done: batchCh}, true); err != nil {
+		t.Fatal(err)
+	}
+	resps = append(resps, batchCh)
+	sub(kWrite, 13, lineWith(5))
 	release()
 	r1, r2 := <-first, <-second
 	if r1.write.PhysAddr != r2.write.PhysAddr || r1.write.Done != r2.write.Done {
@@ -235,7 +248,7 @@ func TestCoalescingKeepsNewestAndRespectsReadBarrier(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sum.Coalesced != 1 {
-		t.Fatalf("Coalesced = %d, want exactly 1 (read barrier must pin w(9)=a)", sum.Coalesced)
+		t.Fatalf("Coalesced = %d, want exactly 1 (read and sub-batch barriers must pin w(9)=a and w(13)=p)", sum.Coalesced)
 	}
 	got, err := e.Read(5)
 	if err != nil {
@@ -250,6 +263,91 @@ func TestCoalescingKeepsNewestAndRespectsReadBarrier(t *testing.T) {
 	}
 	if got.Data != lineWith(8) {
 		t.Fatalf("addr 9 = %v, want newest content 8", got.Data.Word(0))
+	}
+	got, err = e.Read(13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Data != lineWith(5) {
+		t.Fatalf("addr 13 = %v, want newest content 5", got.Data.Word(0))
+	}
+}
+
+// TestAbandonedRequestsStillExecute is the DESIGN.md §7 contract: ctx
+// expiring abandons only the wait; the shard still executes the request.
+// Every Try* call below starts with an already-cancelled ctx, so most
+// abandon their response channel or sub-batch while it is still queued.
+// Under -race this also catches a channel or sub-batch recycled while the
+// worker still holds it, and the reused ops buffer catches a sub-batch
+// that aliases caller memory after the caller stopped waiting.
+func TestAbandonedRequestsStillExecute(t *testing.T) {
+	e, err := New(testConfig(), "esd", Options{Shards: 2, QueueDepth: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	abandoned := 0
+	canceled := func(err error) bool {
+		if errors.Is(err, context.Canceled) {
+			abandoned++
+		}
+		return err == nil || errors.Is(err, context.Canceled)
+	}
+
+	const n = 300
+	want := make(map[uint64]ecc.Line)
+	ops := make([]WriteBatchOp, 2)
+	for i := uint64(0); i < n; i++ {
+		switch i % 3 {
+		case 0:
+			l := lineWith(i, 1)
+			if _, err := e.TryWrite(ctx, i, l, telemetry.TraceCtx{}); !canceled(err) {
+				t.Fatalf("TryWrite(%d): %v", i, err)
+			}
+			want[i] = l
+		case 1:
+			for k := range ops {
+				a := i + uint64(k)*n
+				ops[k] = WriteBatchOp{Addr: a, Line: lineWith(a, 2)}
+				want[a] = ops[k].Line
+			}
+			if err := e.TryWriteBatch(ctx, ops, telemetry.TraceCtx{}); !canceled(err) {
+				t.Fatalf("TryWriteBatch(%d): %v", i, err)
+			}
+			for k := range ops {
+				if !canceled(ops[k].Err) {
+					t.Fatalf("TryWriteBatch(%d) op %d: %v", i, k, ops[k].Err)
+				}
+				ops[k].Line = ecc.Line{} // the caller reuses its buffer
+			}
+		default:
+			// Reads the line the TryWrite two calls back wrote: per-shard
+			// FIFO holds even when that write's caller stopped waiting.
+			r, err := e.TryRead(ctx, i-2, telemetry.TraceCtx{})
+			if !canceled(err) {
+				t.Fatalf("TryRead(%d): %v", i-2, err)
+			}
+			if err == nil && (!r.Hit || r.Data != want[i-2]) {
+				t.Fatalf("TryRead(%d) = %v (hit=%v), want the line TryWrite stored", i-2, r.Data.Word(0), r.Hit)
+			}
+		}
+	}
+	if abandoned == 0 {
+		t.Fatal("no call was abandoned; test is vacuous")
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for a, l := range want {
+		r, err := e.Read(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.Hit || r.Data != l {
+			t.Fatalf("Read(%d) = %v (hit=%v), want %v", a, r.Data.Word(0), r.Hit, l.Word(0))
+		}
 	}
 }
 

@@ -58,19 +58,10 @@ type shard struct {
 	gap      sim.Time
 	batch    int
 	coalesce bool
-	// batchKernels routes runs of consecutive drained writes through the
-	// scheme's batched write path (Options.BatchKernels).
-	batchKernels bool
 
 	now      sim.Time
 	interval sim.Time
 	nextTick sim.Time
-
-	// runIdx/runOps are execBatched's reusable scratch: the request
-	// indices of the pending write run and the memctrl batch built from
-	// them.
-	runIdx []int
-	runOps []memctrl.BatchWrite
 
 	writeHist stats.Histogram
 	readHist  stats.Histogram
@@ -98,8 +89,8 @@ type shard struct {
 }
 
 // run is the worker loop: it blocks for one request, then drains up to
-// batch-1 more without blocking, optionally coalesces writes, and
-// executes the batch in order. It exits when the queue is closed and
+// batch-1 more without blocking, marks superseded writes when coalescing,
+// and executes the batch in order. It exits when the queue is closed and
 // fully drained.
 func (s *shard) run(wg *sync.WaitGroup) {
 	defer wg.Done()
@@ -112,13 +103,11 @@ func (s *shard) run(wg *sync.WaitGroup) {
 			return
 		}
 		buf = append(buf[:0], req)
-		open := true
 	drain:
 		for len(buf) < s.batch {
 			select {
 			case r, ok := <-s.reqs:
 				if !ok {
-					open = false
 					break drain
 				}
 				buf = append(buf, r)
@@ -126,37 +115,13 @@ func (s *shard) run(wg *sync.WaitGroup) {
 				break drain
 			}
 		}
-		switch {
-		case s.coalesce && len(buf) > 1:
+		var mask []bool
+		if s.coalesce && len(buf) > 1 {
 			superseded = s.markSuperseded(buf, superseded, lastWrite)
-			if s.batchKernels {
-				s.execBatched(buf, superseded)
-			} else {
-				s.execCoalesced(buf, superseded)
-			}
-		case s.batchKernels && len(buf) > 1:
-			s.execBatched(buf, nil)
-		default:
-			for i := range buf {
-				resp := s.exec(&buf[i])
-				if buf[i].done != nil {
-					buf[i].done <- resp
-				}
-			}
+			mask = superseded
 		}
+		s.execBatch(buf, mask)
 		s.publishStats()
-		if !open {
-			// Queue closed mid-drain: finish anything still buffered in
-			// the channel, then exit.
-			for r := range s.reqs {
-				resp := s.exec(&r)
-				if r.done != nil {
-					r.done <- resp
-				}
-			}
-			s.publishStats()
-			return
-		}
 	}
 }
 
@@ -183,13 +148,14 @@ func (s *shard) markSuperseded(buf []request, superseded []bool, lastWrite map[u
 	return superseded
 }
 
-// execCoalesced executes a batch honoring superseded marks: a skipped
-// write completes with the outcome of the surviving (newer) write to its
-// address, which always appears later in the same batch.
-func (s *shard) execCoalesced(buf []request, superseded []bool) {
+// execBatch executes a drained batch in order. With a superseded mask
+// (coalescing on; nil otherwise) a skipped write completes with the
+// outcome of the surviving (newer) write to its address, which always
+// appears later in the same batch.
+func (s *shard) execBatch(buf []request, superseded []bool) {
 	var waiters map[uint64][]chan response
 	for i := range buf {
-		if superseded[i] {
+		if superseded != nil && superseded[i] {
 			s.coalesced.Add(1)
 			if buf[i].done != nil {
 				if waiters == nil {
@@ -221,18 +187,7 @@ func (s *shard) exec(r *request) response {
 		at := s.tick()
 		s.env.Tel.BeginRequest(r.tc)
 		out := s.sch.Write(r.addr, &r.line, at)
-		if out.Done > s.now {
-			s.now = out.Done
-		}
-		lat := out.Done - at
-		s.opWrites.Add(1)
-		if out.Deduplicated {
-			s.opDedup.Add(1)
-		}
-		s.writeHist.Record(lat)
-		st := telemetry.StagesFromBreakdown(&out.Breakdown)
-		s.stages.Observe(&st)
-		s.flight.RecordWrite(s.id, r.tc, r.addr, out.PhysAddr, out.Deduplicated, at, lat, &st)
+		lat := s.recordWrite(r.tc, r.addr, at, &out)
 		return response{write: out, lat: lat}
 	case kRead:
 		at := s.tick()
@@ -258,19 +213,7 @@ func (s *shard) exec(r *request) response {
 		memctrl.WriteBatch(s.sch, b.ops)
 		for i := range b.ops {
 			op := &b.ops[i]
-			if op.Out.Done > s.now {
-				s.now = op.Out.Done
-			}
-			lat := op.Out.Done - op.At
-			b.lats[i] = lat
-			s.opWrites.Add(1)
-			if op.Out.Deduplicated {
-				s.opDedup.Add(1)
-			}
-			s.writeHist.Record(lat)
-			st := telemetry.StagesFromBreakdown(&op.Out.Breakdown)
-			s.stages.Observe(&st)
-			s.flight.RecordWrite(s.id, r.tc, op.Logical, op.Out.PhysAddr, op.Out.Deduplicated, op.At, lat, &st)
+			b.lats[i] = s.recordWrite(r.tc, op.Logical, op.At, &op.Out)
 		}
 		// Outcomes travel in the sub-batch itself; the done send is the
 		// publication barrier.
@@ -285,77 +228,24 @@ func (s *shard) exec(r *request) response {
 	}
 }
 
-// execBatched executes a drained batch with runs of consecutive writes
-// going through the scheme's batched write path (one batched AES pass
-// per run) instead of the scalar loop. Reads, barriers and pre-grouped
-// sub-batches flush the pending run first, preserving per-shard FIFO
-// semantics. With a superseded mask (coalescing), a skipped write
-// completes with the outcome of the surviving newer write to its
-// address, exactly as in execCoalesced.
-func (s *shard) execBatched(buf []request, superseded []bool) {
-	var waiters map[uint64][]chan response
-	run := s.runIdx[:0]
-	flushRun := func() {
-		if len(run) == 0 {
-			return
-		}
-		ops := s.runOps[:0]
-		for _, i := range run {
-			s.env.Tel.BeginRequest(buf[i].tc)
-			ops = append(ops, memctrl.BatchWrite{Logical: buf[i].addr, Data: &buf[i].line, At: s.tick()})
-		}
-		memctrl.WriteBatch(s.sch, ops)
-		for k, i := range run {
-			op := &ops[k]
-			if op.Out.Done > s.now {
-				s.now = op.Out.Done
-			}
-			lat := op.Out.Done - op.At
-			s.opWrites.Add(1)
-			if op.Out.Deduplicated {
-				s.opDedup.Add(1)
-			}
-			s.writeHist.Record(lat)
-			st := telemetry.StagesFromBreakdown(&op.Out.Breakdown)
-			s.stages.Observe(&st)
-			s.flight.RecordWrite(s.id, buf[i].tc, buf[i].addr, op.Out.PhysAddr, op.Out.Deduplicated, op.At, lat, &st)
-			resp := response{write: op.Out, lat: lat}
-			if waiters != nil {
-				for _, ch := range waiters[buf[i].addr] {
-					ch <- resp
-				}
-				delete(waiters, buf[i].addr)
-			}
-			if buf[i].done != nil {
-				buf[i].done <- resp
-			}
-		}
-		s.runOps = ops[:0]
-		run = run[:0]
+// recordWrite is the bookkeeping every executed write shares, scalar or
+// sub-batch op: the clock catches up to the completion, then the live op
+// counters, latency and stage histograms and the flight record take the
+// write. It returns the write's simulated service latency.
+func (s *shard) recordWrite(tc telemetry.TraceCtx, addr uint64, at sim.Time, out *memctrl.WriteOutcome) sim.Time {
+	if out.Done > s.now {
+		s.now = out.Done
 	}
-	for i := range buf {
-		if superseded != nil && superseded[i] {
-			s.coalesced.Add(1)
-			if buf[i].done != nil {
-				if waiters == nil {
-					waiters = make(map[uint64][]chan response)
-				}
-				waiters[buf[i].addr] = append(waiters[buf[i].addr], buf[i].done)
-			}
-			continue
-		}
-		if buf[i].kind == kWrite {
-			run = append(run, i)
-			continue
-		}
-		flushRun()
-		resp := s.exec(&buf[i])
-		if buf[i].done != nil {
-			buf[i].done <- resp
-		}
+	lat := out.Done - at
+	s.opWrites.Add(1)
+	if out.Deduplicated {
+		s.opDedup.Add(1)
 	}
-	flushRun()
-	s.runIdx = run[:0]
+	s.writeHist.Record(lat)
+	st := telemetry.StagesFromBreakdown(&out.Breakdown)
+	s.stages.Observe(&st)
+	s.flight.RecordWrite(s.id, tc, addr, out.PhysAddr, out.Deduplicated, at, lat, &st)
+	return lat
 }
 
 // publishStats republishes the scheme's counter block for the barrier-free
