@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-smoke bench-compare bench-gate bench-all figures examples serve-smoke cluster-smoke check check-migrate check-cluster fuzz-smoke clean
+.PHONY: all build test race vet bench bench-test bench-smoke bench-compare bench-gate bench-all figures examples serve-smoke cluster-smoke check check-migrate check-cluster fuzz-smoke clean
 
 all: build vet test
 
@@ -30,6 +30,12 @@ test-log:
 # Override with BENCH_LABEL=PR4 / BENCHTIME=100ms as needed.
 bench:
 	sh scripts/bench.sh
+
+# The esdbench benchmark is its own module, so the root `go test ./...`
+# skips it; it imports esd, server, shard and cluster, so an API change
+# there can break it.
+bench-test:
+	cd esdbench && $(GO) vet ./... && $(GO) test ./...
 
 # One-iteration smoke of the same harness; CI runs this to catch build
 # and metric breakage without paying for a full measurement.

@@ -27,6 +27,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
+	"net/http"
+	"time"
 
 	"github.com/esdsim/esd/internal/config"
 	"github.com/esdsim/esd/internal/core"
@@ -220,10 +223,11 @@ type sysOptions struct {
 	traceW      io.Writer
 	traceFormat telemetry.Format
 	sampleEvery int
+	flight      bool
 	flightSlots int
 }
 
-func (o *sysOptions) enabled() bool { return o.metrics || o.traceW != nil || o.flightSlots > 0 }
+func (o *sysOptions) enabled() bool { return o.metrics || o.traceW != nil || o.flight }
 
 // WithMetrics enables the telemetry metrics registry: live counters, gauges
 // and latency histograms for every layer, exposed via WriteMetrics,
@@ -259,12 +263,7 @@ func WithTraceSampling(n int) SystemOption {
 // wrong. slots is rounded up to a power of two; slots <= 0 picks the
 // default (256).
 func WithFlightRecorder(slots int) SystemOption {
-	return func(o *sysOptions) {
-		if slots <= 0 {
-			slots = telemetry.DefaultFlightSlots
-		}
-		o.flightSlots = slots
-	}
+	return func(o *sysOptions) { o.flight, o.flightSlots = true, slots }
 }
 
 // NewSystem builds a System running the named scheme. The configuration is
@@ -286,7 +285,7 @@ func NewSystem(cfg Config, scheme string, opts ...SystemOption) (*System, error)
 			tracer = telemetry.NewTracer(o.traceW, o.traceFormat)
 		}
 		var flight *telemetry.FlightRecorder
-		if o.flightSlots > 0 {
+		if o.flight {
 			flight = telemetry.NewFlightRecorder(o.flightSlots)
 		}
 		tel = telemetry.NewSink(telemetry.Options{Tracer: tracer, SampleEvery: o.sampleEvery, Flight: flight})
@@ -473,15 +472,31 @@ func (s *System) WriteMetricsJSON(w io.Writer) error {
 }
 
 // MetricsServer is a live telemetry HTTP endpoint serving /metrics
-// (Prometheus text format), /debug/vars (JSON) and, when enabled,
-// /debug/pprof.
-type MetricsServer struct{ srv *telemetry.Server }
+// (Prometheus text format), /debug/vars (JSON), the admin routes
+// (/healthz, /readyz, /statusz, /debug/flightrecorder), /debug/device
+// and, when enabled, /debug/pprof.
+type MetricsServer struct {
+	ln  net.Listener
+	srv *http.Server
+}
+
+// serveAdmin listens on addr and serves mux in a background goroutine; a
+// listen error returns here, before anything is served.
+func serveAdmin(addr string, mux *http.ServeMux) (*MetricsServer, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("esd: listen %s: %w", addr, err)
+	}
+	m := &MetricsServer{ln: ln, srv: &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}}
+	go func() { _ = m.srv.Serve(ln) }()
+	return m, nil
+}
 
 // Addr returns the bound listen address (host:port).
-func (m *MetricsServer) Addr() string { return m.srv.Addr() }
+func (m *MetricsServer) Addr() string { return m.ln.Addr().String() }
 
 // URL returns the server's base URL.
-func (m *MetricsServer) URL() string { return m.srv.URL() }
+func (m *MetricsServer) URL() string { return "http://" + m.Addr() }
 
 // Close shuts the server down immediately, dropping in-flight scrapes.
 func (m *MetricsServer) Close() error { return m.srv.Close() }
@@ -490,38 +505,39 @@ func (m *MetricsServer) Close() error { return m.srv.Close() }
 // connections and waits for in-flight scrapes to finish, up to ctx's
 // deadline (after which remaining connections are force-closed and
 // ctx.Err() is returned).
-func (m *MetricsServer) Shutdown(ctx context.Context) error { return m.srv.Shutdown(ctx) }
+func (m *MetricsServer) Shutdown(ctx context.Context) error {
+	err := m.srv.Shutdown(ctx)
+	if err != nil {
+		_ = m.srv.Close()
+	}
+	return err
+}
 
 // ServeMetrics starts a background HTTP server on addr (":0" picks a free
 // port; use Addr to discover it) exposing this System's live metrics.
 // enablePprof additionally mounts net/http/pprof under /debug/pprof/.
 // With WithFlightRecorder, /debug/flightrecorder serves the current ring.
+// A System is always ready; its /statusz is {"ready":true}.
 func (s *System) ServeMetrics(addr string, enablePprof bool) (*MetricsServer, error) {
 	if s.tel == nil {
 		return nil, ErrTelemetryDisabled
 	}
-	opts := telemetry.ServerOptions{Addr: addr, Pprof: enablePprof}
-	if fl := s.tel.Flight(); fl != nil {
-		opts.Flight = fl.Snapshot
-	}
+	mux := telemetry.AdminMux(nil, "", func() map[string]bool { return map[string]bool{"ready": true} }, s.FlightRecords)
+	telemetry.MountMetrics(mux, s.tel.Registry(), enablePprof)
 	// The wear/energy half of the document reads under the device's health
 	// lock (and may trail the sim thread by one staged batch); the dedup
 	// counters are sampled without synchronization. On a System scraped
 	// while the (single) sim thread is writing, both may trail by a few
 	// events.
-	opts.Device = func() any {
+	mux.HandleFunc("/debug/device", func(w http.ResponseWriter, r *http.Request) {
 		resp := server.DeviceFromHealth(s.SchemeName(),
 			[]DeviceHealthSnapshot{s.env.Device.HealthSnapshot()}, s.scheme.Stats())
 		if h := s.env.Hybrid(); h != nil {
 			resp.Hybrid = server.HybridFromStats(h.Snapshot())
 		}
-		return resp
-	}
-	srv, err := telemetry.NewServer(s.tel.Registry(), opts)
-	if err != nil {
-		return nil, fmt.Errorf("esd: %w", err)
-	}
-	return &MetricsServer{srv: srv}, nil
+		telemetry.WriteJSON(w, resp)
+	})
+	return serveAdmin(addr, mux)
 }
 
 // FlightRecord is one decoded flight-recorder entry: the trace id, request
@@ -678,12 +694,6 @@ func WithShardMetrics() ShardOption {
 // without allocation, so the steady-state write path stays alloc-free.
 func WithStageTracing() ShardOption {
 	return func(o *shard.Options) { o.Tracing = true }
-}
-
-// WithShardFlightSlots sizes each shard's always-on flight-recorder ring
-// (default 256 entries, rounded up to a power of two).
-func WithShardFlightSlots(n int) ShardOption {
-	return func(o *shard.Options) { o.FlightSlots = n }
 }
 
 // ShardedSystem is the goroutine-safe counterpart of System: it
@@ -864,46 +874,39 @@ func (s *ShardedSystem) ServeMetrics(addr string, enablePprof bool) (*MetricsSer
 	if reg == nil {
 		return nil, ErrTelemetryDisabled
 	}
-	srv, err := telemetry.NewServer(reg, telemetry.ServerOptions{
-		Addr:   addr,
-		Pprof:  enablePprof,
-		Flight: s.eng.FlightRecords,
-		Device: func() any {
-			resp := server.DeviceFromHealth(s.eng.SchemeName(), s.eng.DeviceHealths(), s.eng.LiveSchemeStats())
-			if hs, ok := s.eng.HybridStats(); ok {
-				resp.Hybrid = server.HybridFromStats(hs)
-			}
-			return resp
-		},
-		Status: func() any {
-			st := struct {
-				Scheme      string         `json:"scheme"`
-				Shards      int            `json:"shards"`
-				QueueDepths []int          `json:"queue_depths"`
-				QueueCap    int            `json:"queue_cap"`
-				Shed        uint64         `json:"shed_requests"`
-				Coalescing  bool           `json:"coalescing"`
-				Coalesced   uint64         `json:"coalesced_writes"`
-				Tracing     bool           `json:"tracing"`
-				Stages      []StageLatency `json:"stages,omitempty"`
-			}{
-				Scheme:      s.eng.SchemeName(),
-				Shards:      s.eng.NumShards(),
-				QueueDepths: s.eng.QueueLens(),
-				QueueCap:    s.eng.QueueCap(),
-				Shed:        s.eng.Shed(),
-				Coalescing:  s.eng.CoalesceEnabled(),
-				Coalesced:   s.eng.Coalesced(),
-				Tracing:     s.eng.TracingEnabled(),
-			}
-			st.Stages, _ = s.StageLatencies()
-			return st
-		},
+	mux := telemetry.AdminMux(nil, "", func() any {
+		st := struct {
+			Scheme      string         `json:"scheme"`
+			Shards      int            `json:"shards"`
+			QueueDepths []int          `json:"queue_depths"`
+			QueueCap    int            `json:"queue_cap"`
+			Shed        uint64         `json:"shed_requests"`
+			Coalescing  bool           `json:"coalescing"`
+			Coalesced   uint64         `json:"coalesced_writes"`
+			Tracing     bool           `json:"tracing"`
+			Stages      []StageLatency `json:"stages,omitempty"`
+		}{
+			Scheme:      s.eng.SchemeName(),
+			Shards:      s.eng.NumShards(),
+			QueueDepths: s.eng.QueueLens(),
+			QueueCap:    s.eng.QueueCap(),
+			Shed:        s.eng.Shed(),
+			Coalescing:  s.eng.CoalesceEnabled(),
+			Coalesced:   s.eng.Coalesced(),
+			Tracing:     s.eng.TracingEnabled(),
+		}
+		st.Stages, _ = s.StageLatencies()
+		return st
+	}, s.eng.FlightRecords)
+	telemetry.MountMetrics(mux, reg, enablePprof)
+	mux.HandleFunc("/debug/device", func(w http.ResponseWriter, r *http.Request) {
+		resp := server.DeviceFromHealth(s.eng.SchemeName(), s.eng.DeviceHealths(), s.eng.LiveSchemeStats())
+		if hs, ok := s.eng.HybridStats(); ok {
+			resp.Hybrid = server.HybridFromStats(hs)
+		}
+		telemetry.WriteJSON(w, resp)
 	})
-	if err != nil {
-		return nil, fmt.Errorf("esd: %w", err)
-	}
-	return &MetricsServer{srv: srv}, nil
+	return serveAdmin(addr, mux)
 }
 
 // Close drains every shard queue, flushes the devices and stops the

@@ -49,7 +49,7 @@ func benchCluster(b *testing.B, noTrace bool) *Router {
 // TCP backend with distributed tracing off vs on. Both send the same
 // frames (trace 0 when off); the "on" path adds two clock reads and ring
 // writes per attempt. The allocation count must not move (hop recording
-// is alloc-free — enforced by TestHopRecorderRecordDoesNotAllocate at the
+// is alloc-free — enforced by TestHopRecordingDoesNotAllocate at the
 // telemetry layer).
 func BenchmarkRouterTracingOverhead(b *testing.B) {
 	for _, mode := range []struct {

@@ -70,9 +70,6 @@ type Config struct {
 	// Tracing is on by default (the zero Config traces) because its hot-
 	// path cost is two clock reads and a ring write per attempt.
 	NoTrace bool
-	// HopSlots sizes the router flight-recorder ring (0 selects
-	// telemetry.DefaultHopSlots).
-	HopSlots int
 }
 
 func (c Config) withDefaults() Config {
@@ -169,7 +166,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	}
 	if !cfg.NoTrace {
 		r.hops = &telemetry.HopHistograms{}
-		r.flight = telemetry.NewHopRecorder(cfg.HopSlots)
+		r.flight = telemetry.NewHopRecorder(telemetry.DefaultHopSlots)
 		// Boot-time base, shifted to dwarf node-local IDs; the hopSeq term
 		// separates routers booted in the same nanosecond (tests).
 		r.traceBase = (uint64(time.Now().UnixNano()) + hopSeq.Add(1)*1e9) << 20

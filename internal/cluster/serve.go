@@ -226,7 +226,7 @@ func (s *Server) Status() Status {
 	}
 	st.Tracing = r.TracingEnabled()
 	if hists, ok := r.HopSnapshot(); ok {
-		st.FlightRecords = len(r.HopRecords())
+		st.FlightRecords = r.flight.Len()
 		st.Hops = make(map[string]server.StageStatus, len(hists))
 		for i := range hists {
 			h := &hists[i]
@@ -248,9 +248,9 @@ func (s *Server) mux() http.Handler {
 	// The router's /debug/flightrecorder holds attempt-level hop events
 	// with trace IDs, the cross-node half of what esdtrace stitches
 	// against each node's /debug/flightrecorder.
-	mux := server.AdminMux(s.Ready, "no healthy backend", s.Status, s.r.HopRecords)
+	mux := telemetry.AdminMux(s.Ready, "no healthy backend", s.Status, s.r.HopRecords)
 	mux.HandleFunc("/statusz/cluster", func(w http.ResponseWriter, req *http.Request) {
-		server.WriteJSON(w, s.ClusterStatus())
+		telemetry.WriteJSON(w, s.ClusterStatus())
 	})
 	mux.HandleFunc("/admin/reshard", s.handleReshard)
 	return mux
@@ -292,5 +292,5 @@ func (s *Server) handleReshard(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	server.WriteJSON(w, rep)
+	telemetry.WriteJSON(w, rep)
 }

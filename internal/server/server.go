@@ -152,55 +152,23 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return firstErr
 }
 
-// AdminMux returns a mux serving the introspection routes every serving
-// process exposes: /healthz, /readyz (503 with notReady as the body while
-// ready reports false), /statusz and /debug/flightrecorder (never null:
-// an empty recorder is []). Each server adds its own routes to it.
-func AdminMux[S, R any](ready func() bool, notReady string, status func() S, flight func() []R) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if !ready() {
-			http.Error(w, notReady, http.StatusServiceUnavailable)
-			return
-		}
-		fmt.Fprintln(w, "ready")
-	})
-	mux.HandleFunc("/statusz", func(w http.ResponseWriter, r *http.Request) {
-		WriteJSON(w, status())
-	})
-	mux.HandleFunc("/debug/flightrecorder", func(w http.ResponseWriter, r *http.Request) {
-		recs := flight()
-		if recs == nil {
-			recs = []R{}
-		}
-		WriteJSON(w, recs)
-	})
-	return mux
-}
-
 func (s *Server) mux() http.Handler {
-	mux := AdminMux(s.Ready, "draining", s.Statusz, s.eng.FlightRecords)
+	mux := telemetry.AdminMux(s.Ready, "draining", s.Statusz, s.eng.FlightRecords)
 	mux.HandleFunc("/v1/write", s.handleWrite)
 	mux.HandleFunc("/v1/read", s.handleRead)
 	mux.HandleFunc("/v1/flush", s.handleFlush)
 	mux.HandleFunc("/v1/stats", s.handleStats)
 	mux.HandleFunc("/debug/device", func(w http.ResponseWriter, r *http.Request) {
-		WriteJSON(w, s.Device())
+		telemetry.WriteJSON(w, s.Device())
 	})
 	// Raw per-shard health snapshots, shaped for nvm.MergeHealth: the
 	// cluster router scrapes this from every member and merges the fleet
 	// into one device view (/debug/device is the human-shaped rollup).
 	mux.HandleFunc("/debug/health", func(w http.ResponseWriter, r *http.Request) {
-		WriteJSON(w, s.eng.DeviceHealths())
+		telemetry.WriteJSON(w, s.eng.DeviceHealths())
 	})
-	// The catch-all /debug/ telemetry mount leaves the longer /debug/...
-	// patterns above to their own handlers, with or without -metrics.
 	if reg := s.eng.Registry(); reg != nil {
-		mux.Handle("/metrics", telemetry.Handler(reg, s.cfg.Pprof))
-		mux.Handle("/debug/", telemetry.Handler(reg, s.cfg.Pprof))
+		telemetry.MountMetrics(mux, reg, s.cfg.Pprof)
 	}
 	return mux
 }
@@ -303,7 +271,7 @@ func (s *Server) Statusz() StatuszResponse {
 		Tracing:         s.eng.TracingEnabled(),
 		SlowThresholdMs: float64(s.cfg.SlowRequestThreshold) / float64(time.Millisecond),
 		SlowRequests:    s.slow.Load(),
-		FlightRecords:   len(s.eng.FlightRecords()),
+		FlightRecords:   s.eng.FlightLen(),
 	}
 	now := time.Now()
 	writes, reads, _ := s.eng.LiveOps()
@@ -473,12 +441,6 @@ type StatsResponse struct {
 	SimNowNs     float64 `json:"sim_now_ns"`
 }
 
-// WriteJSON answers 200 with v as a JSON document.
-func WriteJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 // mapErr translates engine errors to HTTP status codes through the
 // protocol's StatusOf mapping. An unexpected error (the 500 path) also
 // dumps the flight-recorder tail to the slow log, so the pipeline state
@@ -523,7 +485,7 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
 		s.mapErr(w, err)
 		return
 	}
-	WriteJSON(w, WriteResponse{
+	telemetry.WriteJSON(w, WriteResponse{
 		Dedup:     out.Deduplicated,
 		PhysAddr:  out.PhysAddr,
 		LatencyNs: out.Breakdown.Total().Nanoseconds(),
@@ -547,7 +509,7 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 		s.mapErr(w, err)
 		return
 	}
-	WriteJSON(w, ReadResponse{
+	telemetry.WriteJSON(w, ReadResponse{
 		Hit:       res.Hit,
 		Data:      res.Data[:],
 		LatencyNs: res.Lat.Nanoseconds(),
@@ -574,7 +536,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		s.mapErr(w, err)
 		return
 	}
-	WriteJSON(w, statsFrom(s.eng, sum))
+	telemetry.WriteJSON(w, statsFrom(s.eng, sum))
 }
 
 func statsFrom(eng *shard.Engine, sum shard.Summary) StatsResponse {

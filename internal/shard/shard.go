@@ -93,9 +93,6 @@ func (o Options) withDefaults() Options {
 	if o.IssueGap <= 0 {
 		o.IssueGap = 10 * sim.Nanosecond
 	}
-	if o.FlightSlots <= 0 {
-		o.FlightSlots = telemetry.DefaultFlightSlots
-	}
 	return o
 }
 
@@ -259,6 +256,16 @@ func (e *Engine) FlightRecords() []telemetry.FlightRecord {
 		out = append(out, s.flight.Snapshot()...)
 	}
 	return out
+}
+
+// FlightLen counts the records held across every shard's flight recorder
+// without decoding them (one atomic load per shard).
+func (e *Engine) FlightLen() int {
+	n := 0
+	for _, s := range e.shards {
+		n += s.flight.Len()
+	}
+	return n
 }
 
 // StageSnapshot merges every shard's per-stage write-latency histograms;

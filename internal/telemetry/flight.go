@@ -1,41 +1,17 @@
 package telemetry
 
-import (
-	"sync"
-	"sync/atomic"
+import "github.com/esdsim/esd/internal/sim"
 
-	"github.com/esdsim/esd/internal/sim"
-)
+// FlightRecorder is the engine's flight recorder: a Ring that always
+// holds the last N completed requests with their per-stage latency
+// vectors — a black box that can be dumped after the fact (on error, on
+// SIGQUIT, or via the /debug/flightrecorder endpoint) to explain what the
+// pipeline was doing when something went slow or wrong. One recorder runs
+// per shard worker, or one per System.
+type FlightRecorder Ring[flightEntry]
 
-// FlightRecorder is a fixed-size ring that always holds the last N
-// completed requests with their per-stage latency vectors — a black box
-// that can be dumped after the fact (on error, on SIGQUIT, or via the
-// /debug/flightrecorder endpoint) to explain what the pipeline was doing
-// when something went slow or wrong.
-//
-// Recording is allocation-free and never blocks: a writer claims the next
-// sequence number with one atomic add, then publishes the slot under a
-// per-slot try-lock. Only a concurrent Snapshot can hold a slot's lock,
-// and then the writer drops that one record instead of stalling the
-// pipeline — the dump path pays for the hot path, never the reverse. The
-// per-slot mutex (rather than per-field atomics) keeps the record cost at
-// three atomic operations regardless of how many fields a record carries.
-//
-// The intended topology is one recorder per shard worker (single writer);
-// multiple concurrent writers remain safe as long as the ring is large
-// enough that a writer is not lapped mid-record.
-type FlightRecorder struct {
-	mask  uint64
-	seq   atomic.Uint64
-	slots []flightSlot
-}
-
-// flightSlot is one ring entry. All fields are plain and guarded by mu;
-// seq names the record the slot currently holds (0 = never written), so a
-// reader can tell a live record from one overwritten during its scan.
-type flightSlot struct {
-	mu     sync.Mutex
-	seq    uint64
+// flightEntry is one recorded request, decoded into a FlightRecord on dump.
+type flightEntry struct {
 	trace  uint64
 	addr   uint64
 	phys   uint64
@@ -61,71 +37,38 @@ func NewFlightRecorder(slots int) *FlightRecorder {
 	if slots <= 0 {
 		slots = DefaultFlightSlots
 	}
-	n := 1
-	for n < slots {
-		n <<= 1
-	}
-	return &FlightRecorder{mask: uint64(n - 1), slots: make([]flightSlot, n)}
+	return (*FlightRecorder)(NewRing[flightEntry](slots))
 }
+
+func (f *FlightRecorder) ring() *Ring[flightEntry] { return (*Ring[flightEntry])(f) }
 
 // Cap returns the ring capacity (0 for nil).
-func (f *FlightRecorder) Cap() int {
-	if f == nil {
-		return 0
-	}
-	return len(f.slots)
-}
+func (f *FlightRecorder) Cap() int { return f.ring().Cap() }
 
 // Len returns how many records are currently held (0 for nil).
-func (f *FlightRecorder) Len() int {
-	if f == nil {
-		return 0
-	}
-	n := f.seq.Load()
-	if n > uint64(len(f.slots)) {
-		return len(f.slots)
-	}
-	return int(n)
-}
+func (f *FlightRecorder) Len() int { return f.ring().Len() }
 
 // RecordWrite appends one completed write. phys is the backing physical
 // line the write landed on (it locates the serving bank, which the logical
 // address does not after remapping). Nil-safe and allocation-free.
 func (f *FlightRecorder) RecordWrite(shard int, tc TraceCtx, addr, phys uint64, dedup bool, at, lat sim.Time, st *StageTimes) {
-	f.record(flightKindWrite, shard, tc, addr, phys, dedup, at, lat, st)
+	if f == nil {
+		return
+	}
+	e := flightEntry{trace: tc.TraceID, addr: addr, phys: phys, kind: flightKindWrite, shard: int32(shard), flag: dedup, at: at, lat: lat}
+	if st != nil {
+		e.stages = *st
+	}
+	f.ring().Put(&e)
 }
 
 // RecordRead appends one completed read. Nil-safe and allocation-free.
 func (f *FlightRecorder) RecordRead(shard int, tc TraceCtx, addr uint64, hit bool, at, lat sim.Time) {
-	f.record(flightKindRead, shard, tc, addr, 0, hit, at, lat, nil)
-}
-
-func (f *FlightRecorder) record(kind byte, shard int, tc TraceCtx, addr, phys uint64, flag bool, at, lat sim.Time, st *StageTimes) {
 	if f == nil {
 		return
 	}
-	n := f.seq.Add(1)
-	s := &f.slots[n&f.mask]
-	if !s.mu.TryLock() {
-		// A dump holds this slot right now. Drop the record (the sequence
-		// number shows up as a gap) rather than stall the write path.
-		return
-	}
-	s.seq = n
-	s.trace = tc.TraceID
-	s.addr = addr
-	s.phys = phys
-	s.kind = kind
-	s.shard = int32(shard)
-	s.flag = flag
-	s.at = at
-	s.lat = lat
-	if st != nil {
-		s.stages = *st
-	} else {
-		s.stages = StageTimes{}
-	}
-	s.mu.Unlock()
+	e := flightEntry{trace: tc.TraceID, addr: addr, kind: flightKindRead, shard: int32(shard), flag: hit, at: at, lat: lat}
+	f.ring().Put(&e)
 }
 
 // FlightRecord is one decoded flight-recorder entry, shaped for JSON
@@ -153,46 +96,33 @@ type FlightRecord struct {
 	StagesNs map[string]float64 `json:"stages_ns,omitempty"`
 }
 
-// Snapshot decodes the ring's current contents, oldest first. It allocates
-// (it is the cold dump path) and may be called concurrently with writers:
-// a slot overwritten between the sequence read and the slot lock is
-// skipped rather than returned torn or duplicated.
+// Snapshot decodes the ring's current contents, oldest first. It
+// allocates (it is the cold dump path) and may run concurrently with
+// writers; see Ring.Snapshot.
 func (f *FlightRecorder) Snapshot() []FlightRecord {
 	if f == nil {
 		return nil
 	}
-	end := f.seq.Load()
-	n := uint64(len(f.slots))
-	start := uint64(1)
-	if end > n {
-		start = end - n + 1
-	}
-	out := make([]FlightRecord, 0, end-start+1)
-	for i := start; i <= end; i++ {
-		s := &f.slots[i&f.mask]
-		s.mu.Lock()
-		if s.seq != i {
-			s.mu.Unlock()
-			continue // overwritten by a newer record, or never completed
-		}
+	entries := f.ring().Snapshot()
+	out := make([]FlightRecord, len(entries))
+	for i := range entries {
+		e := &entries[i].V
 		rec := FlightRecord{
-			Seq:   i,
-			Trace: s.trace,
-			Shard: int(s.shard),
-			Addr:  s.addr,
-			AtNs:  s.at.Nanoseconds(),
-			LatNs: s.lat.Nanoseconds(),
+			Seq:   entries[i].Seq,
+			Trace: e.trace,
+			Shard: int(e.shard),
+			Addr:  e.addr,
+			AtNs:  e.at.Nanoseconds(),
+			LatNs: e.lat.Nanoseconds(),
 		}
-		kind, flag, st, phys := s.kind, s.flag, s.stages, s.phys
-		s.mu.Unlock()
-		if kind == flightKindRead {
+		if e.kind == flightKindRead {
 			rec.Kind = "read"
-			rec.Hit = flag
+			rec.Hit = e.flag
 		} else {
 			rec.Kind = "write"
-			rec.Dedup = flag
-			rec.Phys = phys
-			for j, d := range st {
+			rec.Dedup = e.flag
+			rec.Phys = e.phys
+			for j, d := range e.stages {
 				if d > 0 {
 					if rec.StagesNs == nil {
 						rec.StagesNs = make(map[string]float64, NumStages)
@@ -201,7 +131,7 @@ func (f *FlightRecorder) Snapshot() []FlightRecord {
 				}
 			}
 		}
-		out = append(out, rec)
+		out[i] = rec
 	}
 	return out
 }

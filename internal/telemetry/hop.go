@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/esdsim/esd/internal/sim"
@@ -108,28 +106,16 @@ func (h *HopHistograms) Snapshot() [NumHops]stats.Histogram {
 	return out
 }
 
-// HopRecorder is the router's flight recorder: a fixed-size ring holding
-// the last N attempt-level events with their trace IDs, node names and
-// wall-clock timing — the cross-node black box that esdrouter's esdtrace
-// subcommand joins against each member node's per-shard flight recorder
-// to reconstruct one request's full path.
-//
-// The recording discipline matches FlightRecorder: one atomic add claims
-// the next sequence number, the slot publishes under a per-slot try-lock,
-// and a writer racing a concurrent Snapshot drops its record rather than
-// stall the data path. Recording never allocates (the node name is a
-// string header copy, not a new string).
-type HopRecorder struct {
-	mask  uint64
-	seq   atomic.Uint64
-	slots []hopSlot
-}
+// HopRecorder is the router's flight recorder: a Ring holding the last N
+// attempt-level events with their trace IDs, node names and wall-clock
+// timing — the cross-node black box that esdrouter's esdtrace subcommand
+// joins against each member node's per-shard flight recorder to
+// reconstruct one request's full path. Recording never allocates (the
+// node name is a string header copy, not a new string).
+type HopRecorder Ring[hopEntry]
 
-// hopSlot is one ring entry; all fields are guarded by mu. seq names the
-// record the slot holds (0 = never written).
-type hopSlot struct {
-	mu      sync.Mutex
-	seq     uint64
+// hopEntry is one recorded hop event, decoded into a HopRecord on dump.
+type hopEntry struct {
 	trace   uint64
 	addr    uint64
 	atNs    int64
@@ -152,32 +138,16 @@ func NewHopRecorder(slots int) *HopRecorder {
 	if slots <= 0 {
 		slots = DefaultHopSlots
 	}
-	n := 1
-	for n < slots {
-		n <<= 1
-	}
-	return &HopRecorder{mask: uint64(n - 1), slots: make([]hopSlot, n)}
+	return (*HopRecorder)(NewRing[hopEntry](slots))
 }
+
+func (r *HopRecorder) ring() *Ring[hopEntry] { return (*Ring[hopEntry])(r) }
 
 // Cap returns the ring capacity (0 for nil).
-func (r *HopRecorder) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.slots)
-}
+func (r *HopRecorder) Cap() int { return r.ring().Cap() }
 
 // Len returns how many events are currently held (0 for nil).
-func (r *HopRecorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	n := r.seq.Load()
-	if n > uint64(len(r.slots)) {
-		return len(r.slots)
-	}
-	return int(n)
-}
+func (r *HopRecorder) Len() int { return r.ring().Len() }
 
 // Record appends one hop event. op is the protocol op byte ('W', 'R',
 // 'B', 'b'; 0 for non-data events), status the protocol status byte the
@@ -188,22 +158,8 @@ func (r *HopRecorder) Record(hop Hop, trace uint64, op byte, node string, addr u
 	if r == nil {
 		return
 	}
-	n := r.seq.Add(1)
-	s := &r.slots[n&r.mask]
-	if !s.mu.TryLock() {
-		return // a dump holds this slot; drop rather than stall routing
-	}
-	s.seq = n
-	s.trace = trace
-	s.addr = addr
-	s.atNs = atNs
-	s.latNs = lat.Nanoseconds()
-	s.node = node
-	s.hop = hop
-	s.op = op
-	s.attempt = int32(attempt)
-	s.status = status
-	s.mu.Unlock()
+	e := hopEntry{trace: trace, addr: addr, atNs: atNs, latNs: lat.Nanoseconds(), node: node, hop: hop, op: op, attempt: int32(attempt), status: status}
+	r.ring().Put(&e)
 }
 
 // HopRecord is one decoded router flight-recorder event, shaped for JSON
@@ -253,41 +209,28 @@ func opName(op byte) string {
 
 // Snapshot decodes the ring's current contents, oldest first. It
 // allocates (it is the cold dump path) and may run concurrently with
-// writers: a slot overwritten between the sequence read and the slot lock
-// is skipped rather than returned torn.
+// writers; see Ring.Snapshot.
 func (r *HopRecorder) Snapshot() []HopRecord {
 	if r == nil {
 		return nil
 	}
-	end := r.seq.Load()
-	n := uint64(len(r.slots))
-	start := uint64(1)
-	if end > n {
-		start = end - n + 1
-	}
-	out := make([]HopRecord, 0, end-start+1)
-	for i := start; i <= end; i++ {
-		s := &r.slots[i&r.mask]
-		s.mu.Lock()
-		if s.seq != i {
-			s.mu.Unlock()
-			continue
+	entries := r.ring().Snapshot()
+	out := make([]HopRecord, len(entries))
+	for i := range entries {
+		e := &entries[i].V
+		out[i] = HopRecord{
+			Seq:      entries[i].Seq,
+			Trace:    e.trace,
+			Hop:      e.hop.String(),
+			Op:       opName(e.op),
+			Node:     e.node,
+			Addr:     e.addr,
+			Attempt:  int(e.attempt),
+			Status:   int(e.status),
+			OK:       e.status == 0,
+			AtUnixNs: e.atNs,
+			LatNs:    float64(e.latNs),
 		}
-		rec := HopRecord{
-			Seq:      i,
-			Trace:    s.trace,
-			Hop:      s.hop.String(),
-			Op:       opName(s.op),
-			Node:     s.node,
-			Addr:     s.addr,
-			Attempt:  int(s.attempt),
-			Status:   int(s.status),
-			OK:       s.status == 0,
-			AtUnixNs: s.atNs,
-			LatNs:    float64(s.latNs),
-		}
-		s.mu.Unlock()
-		out = append(out, rec)
 	}
 	return out
 }

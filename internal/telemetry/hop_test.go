@@ -86,7 +86,8 @@ func TestHopRecorderRoundTrip(t *testing.T) {
 	}
 }
 
-// The ring must hold exactly the last Cap() records after wraparound.
+// After wraparound the decoded events must be exactly the last Cap()
+// records (TestRing owns the ring mechanism).
 func TestHopRecorderWraparound(t *testing.T) {
 	r := NewHopRecorder(4)
 	for i := 0; i < 11; i++ {

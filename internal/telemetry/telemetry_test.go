@@ -3,8 +3,6 @@ package telemetry
 import (
 	"encoding/json"
 	"errors"
-	"io"
-	"net/http"
 	"strings"
 	"testing"
 
@@ -376,65 +374,6 @@ func TestCacheProbeLabels(t *testing.T) {
 	}
 	if got := r.Counter(`esd_cache_evictions_total{cache="efit"}`, "").Value(); got != 1 {
 		t.Errorf("evicts = %d", got)
-	}
-}
-
-func TestServerEndpoints(t *testing.T) {
-	s := NewSink(Options{})
-	s.OnWrite("esd", DecBaseline, 1, 1, false, 0, 100, nil)
-	srv, err := NewServer(s.Registry(), ServerOptions{Addr: "127.0.0.1:0", Pprof: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 200 || !strings.HasPrefix(resp.Header.Get("Content-Type"), "text/plain") {
-		t.Errorf("/metrics status=%d content-type=%q", resp.StatusCode, resp.Header.Get("Content-Type"))
-	}
-	if !strings.Contains(string(body), "esd_writes_total 1") {
-		t.Errorf("/metrics missing counter:\n%s", body)
-	}
-
-	resp, err = http.Get(srv.URL() + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var m map[string]any
-	if err := json.Unmarshal(body, &m); err != nil {
-		t.Errorf("/debug/vars invalid JSON: %v", err)
-	}
-
-	resp, err = http.Get(srv.URL() + "/debug/pprof/cmdline")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Errorf("/debug/pprof/cmdline status=%d with pprof on", resp.StatusCode)
-	}
-}
-
-func TestServerPprofOffByDefault(t *testing.T) {
-	srv, err := NewServer(NewRegistry(), ServerOptions{Addr: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	resp, err := http.Get(srv.URL() + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("/debug/pprof/ status=%d, want 404 when pprof is off", resp.StatusCode)
 	}
 }
 
