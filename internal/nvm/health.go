@@ -8,7 +8,14 @@
 // counters are direct array bumps, and the wear distribution is maintained
 // as a bounded log2-bucketed histogram updated incrementally as lines move
 // between buckets. Snapshots never walk the per-line wear map (that remains
-// the job of the exact, now also lock-protected, Wear()).
+// the job of the exact, lock-protected Wear()).
+//
+// Per-line wear is one map from line address to write count. Data lines
+// are dense, but metadata lines are not: the memory controller hashes every
+// metadata write-back across the metadata quarter of the device, so a
+// layout of fixed pages would allocate and zero a fresh page for nearly
+// every metadata write. With the map, memory is proportional to the
+// distinct lines written whatever the address layout.
 package nvm
 
 import (
@@ -24,19 +31,6 @@ const healthRegions = 64
 // wearHistBuckets bounds the log2 wear histogram: bucket i counts lines
 // whose wear w satisfies 2^i <= w < 2^(i+1), which covers all of uint64.
 const wearHistBuckets = 64
-
-// Wear counters live in demand-allocated fixed pages indexed by a flat
-// pointer table (device capacity is known at construction), so the
-// per-write wear bump is two array stores — cheaper than the single map
-// operation the pre-health code paid. 4096 lines/page = 32 KiB,
-// allocated only for touched neighbourhoods.
-const (
-	wearPageShift = 12
-	wearPageSize  = 1 << wearPageShift
-	wearPageMask  = wearPageSize - 1
-)
-
-type wearPage [wearPageSize]uint64
 
 // bankHealth is the per-bank slice of the health counters (guarded by
 // health.mu).
@@ -90,9 +84,8 @@ type health struct {
 	regionShift uint // log2 lines per region
 	hist        [wearHistBuckets]uint64
 
-	// Per-line wear: pages[addr>>wearPageShift][addr&wearPageMask],
-	// pages allocated on first touch.
-	pages []*wearPage
+	// wear is the per-line write count of every line ever written.
+	wear map[uint64]uint64
 
 	reads        uint64
 	rowHits      uint64
@@ -107,7 +100,7 @@ type health struct {
 
 func (h *health) init(banks int, lines int64) {
 	h.banks = make([]bankHealth, banks)
-	h.pages = make([]*wearPage, (lines+wearPageSize-1)>>wearPageShift)
+	h.wear = make(map[uint64]uint64)
 	n := int64(healthRegions)
 	if lines < n {
 		n = lines
@@ -131,25 +124,6 @@ func (h *health) init(banks int, lines int64) {
 
 // wearBucket returns the log2 bucket index of wear w (w >= 1).
 func wearBucket(w uint64) int { return bits.Len64(w) - 1 }
-
-// page returns the wear page holding addr, allocating it on first touch.
-// Caller holds h.mu.
-func (h *health) page(addr uint64) *wearPage {
-	pg := h.pages[addr>>wearPageShift]
-	if pg == nil {
-		pg = new(wearPage)
-		h.pages[addr>>wearPageShift] = pg
-	}
-	return pg
-}
-
-// wearOf returns addr's write count. Caller holds h.mu.
-func (h *health) wearOf(addr uint64) uint64 {
-	if pg := h.pages[addr>>wearPageShift]; pg != nil {
-		return pg[addr&wearPageMask]
-	}
-	return 0
-}
 
 // noteWrite stages one media write of addr. Simulation thread only; no
 // locking unless the batch fills.
@@ -196,9 +170,8 @@ func (h *health) sync() {
 // applyWrite bumps addr's wear counter and every write-side aggregate for
 // one media write. Caller holds h.mu.
 func (h *health) applyWrite(addr uint64, bank int) {
-	pg := h.page(addr)
-	w := pg[addr&wearPageMask] + 1
-	pg[addr&wearPageMask] = w
+	w := h.wear[addr] + 1
+	h.wear[addr] = w
 
 	h.writes++
 	b := &h.banks[bank]

@@ -2,9 +2,12 @@ package nvm
 
 import (
 	"math/rand"
+	"runtime"
+	"sort"
 	"sync"
 	"testing"
 
+	"github.com/esdsim/esd/internal/config"
 	"github.com/esdsim/esd/internal/ecc"
 	"github.com/esdsim/esd/internal/sim"
 )
@@ -120,6 +123,120 @@ func TestHealthMatchesWear(t *testing.T) {
 	// The approximate P99 is the log2-bucket upper bound of the exact one.
 	if s.P99Wear < exact.P99Wear || (exact.P99Wear > 1 && s.P99Wear > 2*exact.P99Wear) {
 		t.Fatalf("approx P99=%d out of range for exact %d", s.P99Wear, exact.P99Wear)
+	}
+}
+
+// metaLine spreads key over the top quarter of d the way the memory
+// controller places metadata lines (memctrl.Env.MetaLineFor): a 64-bit mix,
+// then modulo the metadata region.
+func metaLine(d *Device, key uint64) uint64 {
+	total := uint64(d.Lines())
+	meta := total / 4
+	key = (key ^ (key >> 33)) * 0xFF51AFD7ED558CCD
+	key ^= key >> 33
+	return total - meta + key%meta
+}
+
+// TestWearExactOverMixedAddresses checks every wear accessor against a
+// reference count over the address shapes a scheme produces: dense data
+// lines, hash-scattered metadata lines, and both ends of the device, with
+// some lines written many times.
+func TestWearExactOverMixedAddresses(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  config.PCM
+	}{
+		{"64MiB", testCfg()},
+		{"default", config.Default().PCM},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := New(tc.cfg)
+			last := uint64(d.Lines()) - 1
+			ref := map[uint64]uint64{}
+			var line ecc.Line
+			now := sim.Time(0)
+			write := func(addr uint64, n int, meta bool) {
+				for i := 0; i < n; i++ {
+					if meta {
+						d.WriteMeta(addr, now)
+					} else {
+						d.Write(addr, &line, now)
+					}
+					ref[addr]++
+					now += 50 * sim.Nanosecond
+				}
+			}
+			write(0, 3, false)
+			write(last, 2, true)
+			for a := uint64(1); a < 1<<12; a++ { // dense data lines
+				write(a, 1+int(a%4), false)
+			}
+			for k := uint64(0); k < 3000; k++ { // hashed metadata lines
+				n := 1
+				if k%7 == 0 {
+					n = 41
+				}
+				write(metaLine(d, k), n, true)
+			}
+			write(metaLine(d, 5), 100, true) // the most-worn line
+			d.SyncHealth()
+
+			var counts []uint64
+			var total, max uint64
+			for addr, c := range ref {
+				if got := d.WearOf(addr); got != c {
+					t.Fatalf("WearOf(%d)=%d, want %d", addr, got, c)
+				}
+				counts = append(counts, c)
+				total += c
+				if c > max {
+					max = c
+				}
+			}
+			sort.Slice(counts, func(i, j int) bool { return counts[i] < counts[j] })
+			for _, addr := range []uint64{last - 1, uint64(d.Lines()) * 3 / 4} {
+				if _, ok := ref[addr]; !ok && d.WearOf(addr) != 0 {
+					t.Fatalf("unwritten line %d has wear %d", addr, d.WearOf(addr))
+				}
+			}
+
+			want := WearSummary{
+				TotalWrites:  total,
+				LinesTouched: len(ref),
+				MaxWear:      max,
+				MeanWear:     float64(total) / float64(len(ref)),
+				P99Wear:      counts[len(counts)*99/100],
+			}
+			if got := d.Wear(); got != want {
+				t.Fatalf("Wear()=%+v, want %+v", got, want)
+			}
+			s := d.HealthSummary()
+			if s.Writes != total || s.LinesTouched != uint64(len(ref)) || s.MaxWear != max {
+				t.Fatalf("HealthSummary writes=%d lines=%d max=%d, want %d/%d/%d",
+					s.Writes, s.LinesTouched, s.MaxWear, total, len(ref), max)
+			}
+		})
+	}
+}
+
+// TestScatteredWearStaysCompact guards the wear store's footprint against
+// the metadata address pattern: writes hashed over the top quarter of a
+// full-size device must cost memory per line written, not per region of the
+// address space touched. A page-granular store allocates over 100 MiB here.
+func TestScatteredWearStaysCompact(t *testing.T) {
+	d := New(config.Default().PCM)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := uint64(0); k < 4096; k++ {
+		d.WriteMeta(metaLine(d, k), sim.Time(k)*sim.Microsecond)
+	}
+	d.SyncHealth()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<20 {
+		t.Fatalf("4096 scattered metadata writes allocated %d bytes, want < 4 MiB", got)
+	}
+	if s := d.Wear(); s.TotalWrites != 4096 {
+		t.Fatalf("TotalWrites=%d, want 4096", s.TotalWrites)
 	}
 }
 

@@ -146,7 +146,9 @@ type Device struct {
 	// (no hashing, no rehash churn as the device fills).
 	data sparse.Map[ecc.Line]
 	// health holds all wear and health accounting, including the per-line
-	// wear pages (guarded by health.mu; read counters are atomics).
+	// wear map keyed by line address (a map because metadata addresses are
+	// hashed across a quarter of the device). Everything it shares with
+	// readers is a plain field guarded by health.mu.
 	health health
 
 	Stats Stats
@@ -369,7 +371,7 @@ func (d *Device) LinesWritten() int { return d.data.Len() }
 // Flush/SyncHealth).
 func (d *Device) WearOf(addr uint64) uint64 {
 	d.health.mu.Lock()
-	w := d.health.wearOf(addr)
+	w := d.health.wear[addr]
 	d.health.mu.Unlock()
 	return w
 }
@@ -384,8 +386,8 @@ type WearSummary struct {
 	P99Wear uint64
 }
 
-// Wear computes the exact device wear summary by walking the per-line wear
-// pages. Safe to call concurrently with the simulation (it snapshots under
+// Wear computes the exact device wear summary from the per-line wear map.
+// Safe to call concurrently with the simulation (it snapshots under
 // the device health lock) but may lag it by up to healthBatch media ops
 // (exact after Flush/SyncHealth); prefer HealthSummary for cheap polling.
 func (d *Device) Wear() WearSummary {
@@ -395,20 +397,12 @@ func (d *Device) Wear() WearSummary {
 	if d.health.linesTouched == 0 {
 		return s
 	}
-	counts := make([]uint64, 0, d.health.linesTouched)
-	for _, pg := range d.health.pages {
-		if pg == nil {
-			continue
-		}
-		for _, c := range pg {
-			if c == 0 {
-				continue
-			}
-			counts = append(counts, c)
-			s.TotalWrites += c
-			if c > s.MaxWear {
-				s.MaxWear = c
-			}
+	counts := make([]uint64, 0, len(d.health.wear))
+	for _, c := range d.health.wear {
+		counts = append(counts, c)
+		s.TotalWrites += c
+		if c > s.MaxWear {
+			s.MaxWear = c
 		}
 	}
 	s.LinesTouched = len(counts)

@@ -283,3 +283,19 @@ func BenchmarkDeviceWrite(b *testing.B) {
 		d.Write(addrs[i%len(addrs)], &ecc.Line{}, sim.Time(i)*100*sim.Nanosecond)
 	}
 }
+
+// BenchmarkDeviceBootScatter charges what BenchmarkDeviceWrite amortises
+// away: a fresh full-size device per iteration taking 1024 metadata writes
+// hashed over its top quarter, so first-touch cost of the wear store (and
+// the device's construction) shows in ns/op and B/op.
+func BenchmarkDeviceBootScatter(b *testing.B) {
+	b.ReportAllocs()
+	cfg := config.Default().PCM
+	for i := 0; i < b.N; i++ {
+		d := New(cfg)
+		for k := uint64(0); k < 1024; k++ {
+			d.WriteMeta(metaLine(d, k), sim.Time(k)*100*sim.Nanosecond)
+		}
+		d.SyncHealth()
+	}
+}

@@ -21,10 +21,12 @@ OUT="${BENCH_OUT:-BENCH_${LABEL}.json}"
 TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT INT TERM
 
-# Kernel micro-benchmarks: the ECC codec, the CME engine, and the
-# per-line fingerprinters that sit on both.
+# Kernel micro-benchmarks: the ECC codec, the CME engine, the per-line
+# fingerprinters that sit on both, and the PCM device (a dense write on one
+# long-lived device, and a fresh device taking hash-scattered metadata
+# writes, which is where first-touch cost of its wear store shows).
 go test -run '^$' -bench '.' -benchmem -benchtime "$BENCHTIME" -count "$BENCHCOUNT" \
-  ./internal/ecc ./internal/crypto ./internal/fingerprint | tee "$TMP"
+  ./internal/ecc ./internal/crypto ./internal/fingerprint ./internal/nvm | tee "$TMP"
 
 # System-level: single-threaded write path and the sharded engine's
 # concurrent throughput (writes/s is the headline lines/sec metric).
